@@ -462,41 +462,24 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
             ExecutionPlan,
         )
 
-        executor = "graph" if args.executor == "graph" else "wave"
         plan = (
             BatchedExecutionPlan(program, batch, optimize=True,
-                                 executor=executor, tile=args.tile)
+                                 tile=args.tile)
             if batch is not None
-            else ExecutionPlan(program, optimize=True, executor=executor,
-                               tile=args.tile)
+            else ExecutionPlan(program, optimize=True, tile=args.tile)
         )
         optimization = plan.optimization
-        stats = optimization.stats
-        graph_stats = (
-            plan.task_graph.stats if plan.task_graph is not None else None
-        )
     else:
         # Paper-scale grids exceed the functional executor's limits; the
-        # static planner still reports hoisting/fusion/elision/waves and
-        # the repacked arena, and the task-graph shape comes from the
-        # structure-only builder.
+        # static planner still reports hoisting/fusion/elision/tiling and
+        # the repacked arena.
         graph = _resolve_model(args.model)
         program = lower_graph(graph)
         optimization = plan_optimization(program, batch_size=batch,
                                          tile=args.tile)
-        stats = optimization.stats
-        graph_stats = None
-        if args.executor == "graph":
-            from repro.runtime.task_graph import task_graph_stats
-
-            graph_stats = task_graph_stats(program, batch_size=batch,
-                                           tile=args.tile)
     suffix = f" (batch {batch})" if batch is not None else ""
     print(f"plan optimizer: {graph.name}{suffix}")
-    print(stats.render())
-    if graph_stats is not None:
-        print(f"task graph: {graph.name}{suffix}")
-        print(graph_stats.render())
+    print(optimization.stats.render())
     if args.replicas > 0:
         from repro.runtime.executor import EXEC_ITEMSIZE
 
@@ -714,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "plan-stats",
         help="what the plan optimizer does to a model's execution plan "
-             "(steps fused, weights hoisted, bytes elided, waves)",
+             "(steps fused, weights hoisted, bytes elided, chains tiled)",
     )
     p.add_argument("model", help="model name")
     p.add_argument("--scale", choices=("tiny", "paper"), default="tiny",
@@ -728,10 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=True,
                    help="block-tile eligible reduction chains before "
                         "reporting (--no-tile reports the untiled plan)")
-    p.add_argument("--executor", choices=("wave", "graph"), default="wave",
-                   help="with 'graph', also report the compiled task "
-                        "graph (task count, dependency edges, critical "
-                        "path, max ready-width)")
     p.add_argument("--replicas", type=int, default=0,
                    help="also report the sharded-serving weight memory at "
                         "this replica count: bytes duplicated per process "

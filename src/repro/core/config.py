@@ -23,16 +23,11 @@ class SouffleOptions:
     validate: bool = False  # differentially check every transformation
     verify: bool = False    # statically verify the IR at every pipeline stage
     # Serve through plan-optimized execution plans (runtime step fusion,
-    # weight hoisting, in-place elision, wave scheduling). Orthogonal to
+    # weight hoisting, in-place elision, tiling). Orthogonal to
     # the V-levels: it rewrites the *runtime* step list, not the TE IR.
     optimize_plans: bool = True
-    # Replay plans through the task-graph scheduler (runtime.task_graph):
-    # one persistent dependency table per plan, workers pulling ready steps
-    # with no per-wave barriers. Off by default; the wave scheduler stays
-    # the reference serving engine.
-    graph_executor: bool = False
     # Block-level tiling of map->reduce->map chains (runtime.tiling):
-    # cache-blocked sub-steps with per-worker scratch, applied by the plan
+    # cache-blocked sub-steps with pooled scratch, applied by the plan
     # optimizer when profitable. On by default; only meaningful when
     # optimize_plans is on.
     tile_reductions: bool = True
@@ -53,7 +48,6 @@ class SouffleOptions:
     def from_level(cls, level: int, validate: bool = False,
                    verify: bool = False,
                    optimize_plans: bool = True,
-                   graph_executor: bool = False,
                    tile_reductions: bool = True,
                    certify: bool = False,
                    certify_unknown: str = "warn",
@@ -69,7 +63,6 @@ class SouffleOptions:
             validate=validate,
             verify=verify,
             optimize_plans=optimize_plans,
-            graph_executor=graph_executor,
             tile_reductions=tile_reductions,
             certify=certify,
             certify_unknown=certify_unknown,

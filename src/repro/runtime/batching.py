@@ -140,8 +140,10 @@ class BatchingServer:
         """
         resolved = self._resolve(feeds)
         # Validate now: a bad request must fail at the door, not take a
-        # whole batch down with it later.
-        self.session.plan.bind_feeds(resolved)
+        # whole batch down with it later. The session merges its bound
+        # weight table under every request, so validate the merged feeds.
+        session = self.session
+        session.plan.bind_feeds(session.plan_state.with_weights(resolved))
         pending = _Pending(resolved, Future())
         with self._state_lock:
             if self._stopping.is_set() or self._thread is None:

@@ -12,8 +12,6 @@ with constants:
   map into its consumer(s) pays for the recompute with saved dispatch and
   materialisation, using the fitted dispatch intercept and byte rate;
 * ``prefer_matmul`` — measured einsum-vs-matmul verdict per step key;
-* ``wave_parallel_profitable`` — whether a wave's smallest measured step
-  still amortises a thread handoff;
 * ``tiled_variants`` — measured per-block seconds by block size for one
   chain key.
 
@@ -25,7 +23,7 @@ untuned planning bit-for-bit identical to today.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -38,11 +36,6 @@ from repro.runtime.profile_store import ProfileRow, ProfileStore
 DEFAULT_DISPATCH_SECONDS = 3e-6
 DEFAULT_BYTE_SECONDS = 1e-10
 DEFAULT_FLOP_SECONDS = 1e-9
-
-# A wave dispatch hands steps to pool threads and joins them; the smallest
-# member must be worth at least this much measured wall time before the
-# handoff pays (matches the order of one cross-thread wakeup).
-MIN_PARALLEL_STEP_SECONDS = 5e-5
 
 
 class CostModel:
@@ -170,16 +163,6 @@ class CostModel:
         if einsum is None or matmul is None:
             return None
         return matmul.seconds <= einsum.seconds
-
-    def wave_parallel_profitable(
-        self, measured: List[Optional[float]]
-    ) -> Optional[bool]:
-        """Dispatch one wave to the pool? None unless fully measured."""
-        if not measured or any(m is None for m in measured):
-            return None
-        return min(measured) >= max(
-            MIN_PARALLEL_STEP_SECONDS, 10.0 * self.dispatch_overhead_s()
-        )
 
     def tiled_variants(self, chain_key: str) -> Dict[int, float]:
         """Measured per-block seconds by block size for one chain key."""

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from time import perf_counter
 
 import numpy as np
 
@@ -496,20 +497,12 @@ class ExecutionPlan:
         program: TEProgram,
         memory_plan: Optional[MemoryPlan] = None,
         optimize: bool = False,
-        executor: str = "wave",
         tile: bool = True,
         tile_budget: Optional[int] = None,
         tile_block_rows: Optional[int] = None,
         certify: bool = False,
         cost_model: Optional[object] = None,
     ) -> None:
-        if executor not in ("wave", "serial", "graph"):
-            raise PlanningError(
-                f"unknown executor {executor!r}; choose 'wave' (default), "
-                "'serial' (flat replay, the differential oracle) or "
-                "'graph' (task-graph scheduler)"
-            )
-        self.executor_kind = executor
         # Block-level tiling of reduction chains (runtime.tiling), applied
         # by the optimizer pass pipeline: default on, profitable chains
         # only. tile_budget overrides the footprint model's cache budget;
@@ -544,8 +537,6 @@ class ExecutionPlan:
         # Plan-optimizer state; optimize_plan() rewrites steps/memory_plan
         # and fills these in (see repro.runtime.plan_opt).
         self.optimization = None
-        self.waves: Optional[List[Tuple[Tuple[int, ...], bool]]] = None
-        self._wave_pool = None
         self._hoist_steps: List[Tuple[PlanStep, Tuple[int, ...]]] = []
         self._hoist_roots: List[Tensor] = []
         self._hoist_input_ids: List[int] = []
@@ -575,19 +566,6 @@ class ExecutionPlan:
                     "plan certification refuted: "
                     + "; ".join(c.render() for c in refuted)
                 )
-        # Task-graph executor state: compiled after optimization so the
-        # dependency table covers the *final* steps (fused groups, hoisted
-        # weights already stripped, elision-repacked arena).
-        self.task_graph = None
-        self.graph_executor = None
-        if executor == "graph":
-            from repro.runtime.task_graph import (
-                GraphExecutor,
-                build_task_graph,
-            )
-
-            self.task_graph = build_task_graph(self)
-            self.graph_executor = GraphExecutor(self.task_graph)
         ExecutionPlan.plans_built += 1
 
     # ---- construction ----------------------------------------------------
@@ -862,63 +840,23 @@ class ExecutionPlan:
         bound: Values,
         arena: Arena,
         step_seconds: Optional[List[float]] = None,
-        scheduler=None,
     ) -> List[np.ndarray]:
-        """Replay the step list once.
+        """Replay the step list once, in list order.
 
         ``bound`` comes from :meth:`bind_feeds`; ``arena`` from
         :meth:`new_arena`. With ``step_seconds`` (a list of one float per
-        step) each step's wall time is accumulated into it. ``scheduler``
-        injects a :class:`~repro.runtime.task_graph.SchedulerPolicy` for
-        this request (graph executor only — the deterministic test hook).
+        step) each step's wall time is accumulated into it; the timed loop
+        runs the same steps in the same order as the untimed one.
         """
         values = self._prepare_values(bound, arena)
-        if self.graph_executor is not None:
-            self.graph_executor.run(
-                values, scheduler=scheduler, step_seconds=step_seconds
-            )
-        elif scheduler is not None:
-            raise ExecutionError(
-                "scheduler injection requires ExecutionPlan("
-                "executor='graph')"
-            )
-        elif step_seconds is None:
-            if self.waves is None or self.executor_kind == "serial":
-                for step in self.steps:
-                    step.run(values)
-            else:
-                steps = self.steps
-                pool = self._wave_pool
-                for positions, parallel in self.waves:
-                    if parallel and pool is not None:
-                        pool.run_all([
-                            (lambda s=steps[p], v=values: s.run(v))
-                            for p in positions
-                        ])
-                    else:
-                        for p in positions:
-                            steps[p].run(values)
+        if step_seconds is None:
+            for step in self.steps:
+                step.run(values)
         else:
-            from time import perf_counter
-
-            # Timed replays run serially (self.steps is already in wave
-            # execution order) so per-step attribution stays exact.
             for i, step in enumerate(self.steps):
                 start = perf_counter()
                 step.run(values)
                 step_seconds[i] += perf_counter() - start
-        return [values[key] for key in self._output_keys]
-
-    def execute_serial(self, bound: Values, arena: Arena) -> List[np.ndarray]:
-        """Flat single-threaded replay of the step list.
-
-        The differential oracle for the task-graph executor: identical
-        steps, identical arena, no scheduler — any divergence between this
-        and :meth:`execute` is a scheduling bug by construction.
-        """
-        values = self._prepare_values(bound, arena)
-        for step in self.steps:
-            step.run(values)
         return [values[key] for key in self._output_keys]
 
     def run(self, feeds: Mapping[Tensor, np.ndarray]) -> List[np.ndarray]:
@@ -959,7 +897,6 @@ class BatchedExecutionPlan(ExecutionPlan):
         batch_size: int,
         memory_plan: Optional[MemoryPlan] = None,
         optimize: bool = False,
-        executor: str = "wave",
         tile: bool = True,
         tile_budget: Optional[int] = None,
         tile_block_rows: Optional[int] = None,
@@ -973,7 +910,7 @@ class BatchedExecutionPlan(ExecutionPlan):
         # Set before super().__init__: the sizer and step builders read it.
         self.batch_size = int(batch_size)
         super().__init__(
-            program, memory_plan, optimize=optimize, executor=executor,
+            program, memory_plan, optimize=optimize,
             tile=tile, tile_budget=tile_budget,
             tile_block_rows=tile_block_rows, certify=certify,
             cost_model=cost_model,

@@ -101,7 +101,7 @@ class MemoryPlan:
     workspace_bytes: int = 0
     unshared_bytes: int = 0     # what naive one-buffer-per-tensor would cost
     exclusive_writes: bool = False
-    # Block-level tiling (runtime.tiling): per-worker scratch buffer size
+    # Block-level tiling (runtime.tiling): scratch buffer size per request
     # and, per tiled chain, the (tensor name, offset, nbytes) scratch blocks
     # carved from it. Scratch is outside the arena — the verifier's
     # check_arena validates these blocks never alias each other.

@@ -104,7 +104,6 @@ class PlanState:
         plan: Optional[ExecutionPlan] = None,
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
         optimize: bool = True,
-        executor: str = "wave",
         tile: bool = True,
         cost_model: Optional[object] = None,
     ) -> None:
@@ -116,12 +115,10 @@ class PlanState:
         self.cost_model = cost_model
         self.plan = (
             plan if plan is not None
-            else ExecutionPlan(program, optimize=optimize, executor=executor,
-                               tile=tile, cost_model=cost_model)
+            else ExecutionPlan(program, optimize=optimize, tile=tile,
+                               cost_model=cost_model)
         )
         self._program_hash: Optional[str] = None
-        # An explicit plan wins: batched buckets follow its engine choice.
-        self.executor = self.plan.executor_kind
         buckets = sorted(set(int(b) for b in batch_buckets))
         if not buckets or buckets[0] < 2:
             raise ExecutionError(
@@ -222,8 +219,7 @@ class PlanState:
         if plan is None:
             built = BatchedExecutionPlan(
                 self.plan.program, bucket, optimize=self.optimize,
-                executor=self.executor, tile=self.tile,
-                cost_model=self.cost_model,
+                tile=self.tile, cost_model=self.cost_model,
             )
             with self._lock:
                 plan = self._batched_plans.setdefault(bucket, built)
@@ -332,7 +328,6 @@ class InferenceSession:
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
         latency_window: int = DEFAULT_LATENCY_WINDOW,
         optimize: bool = True,
-        executor: str = "wave",
         tile: bool = True,
         plan_state: Optional[PlanState] = None,
         collect_profiles: bool = False,
@@ -343,9 +338,6 @@ class InferenceSession:
         # Serving defaults to optimized plans (the pass pipeline is proven
         # bit-identical at plan time); ``optimize=False`` serves the plain
         # lowering, and an explicit ``plan`` is used as-is either way.
-        # ``executor`` picks the replay engine for the session's plan *and*
-        # its per-bucket batched plans: "wave" (default), "serial", or
-        # "graph" (the task-graph scheduler, see runtime.task_graph).
         # ``tile`` gates the optimizer's block-level tiling of reduction
         # chains (runtime.tiling) for the plan and its batched buckets.
         # ``collect_profiles`` measures per-step wall time on every request
@@ -356,8 +348,7 @@ class InferenceSession:
         if plan_state is None:
             plan_state = PlanState(
                 program, plan=plan, batch_buckets=batch_buckets,
-                optimize=optimize, executor=executor, tile=tile,
-                cost_model=cost_model,
+                optimize=optimize, tile=tile, cost_model=cost_model,
             )
         self.plan_state = plan_state
         self.profile = profile
@@ -410,10 +401,6 @@ class InferenceSession:
     @property
     def tile(self) -> bool:
         return self.plan_state.tile
-
-    @property
-    def executor(self) -> str:
-        return self.plan_state.executor
 
     @property
     def batch_buckets(self) -> Tuple[int, ...]:
@@ -776,12 +763,10 @@ class InferenceSession:
         from repro.runtime.profiler import (
             BatchStats,
             ExecutionProfile,
-            SchedulerStats,
             StepTiming,
         )
 
         percentiles = self.latency_percentiles()
-        graph_exec = self.plan.graph_executor
         pooled = self.arenas_pooled
         state = self.arena_state
         with state.lock:
@@ -793,26 +778,9 @@ class InferenceSession:
                     step_key=getattr(step, "step_key", ""),
                     calls=state.step_calls,
                     total_seconds=state.step_seconds[step.index],
-                    queue_seconds=(
-                        graph_exec.step_queue_seconds[step.index]
-                        if graph_exec is not None else 0.0
-                    ),
                 )
                 for step in self.plan.steps
             ]
-            scheduler = None
-            if graph_exec is not None:
-                stats = self.plan.task_graph.stats
-                scheduler = SchedulerStats(
-                    tasks=stats.tasks,
-                    data_edges=stats.data_edges,
-                    conflict_edges=stats.conflict_edges,
-                    critical_path=stats.critical_path,
-                    max_ready_width=stats.max_ready_width,
-                    requests=graph_exec.requests,
-                    workers=graph_exec.workers_used,
-                    occupancy=graph_exec.occupancy,
-                )
             batching = None
             if state.batches_executed:
                 batching = BatchStats(
@@ -841,7 +809,6 @@ class InferenceSession:
                     optimization.stats.summary()
                     if optimization is not None else None
                 ),
-                scheduler=scheduler,
             )
 
     def __repr__(self) -> str:

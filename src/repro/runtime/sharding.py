@@ -120,7 +120,6 @@ class WorkerConfig:
     """Plan/session knobs shipped to every worker (picklable)."""
 
     optimize: bool = True
-    executor: str = "wave"
     tile: bool = True
     batch_buckets: Tuple[int, ...] = DEFAULT_BATCH_BUCKETS
     max_pool: int = DEFAULT_MAX_POOL
@@ -193,7 +192,6 @@ def _worker_main(
             program,
             batch_buckets=config.batch_buckets,
             optimize=config.optimize,
-            executor=config.executor,
             tile=config.tile,
         )
         weights = store.weights_by_name()
@@ -318,7 +316,6 @@ class ShardedServer:
         max_batch_size: int = 8,
         max_queue_delay_ms: float = 2.0,
         optimize: bool = True,
-        executor: str = "wave",
         tile: bool = True,
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
         max_pool: int = DEFAULT_MAX_POOL,
@@ -352,7 +349,6 @@ class ShardedServer:
         self._graph_doc = graph_to_dict(graph)
         self._config = WorkerConfig(
             optimize=optimize,
-            executor=executor,
             tile=tile,
             batch_buckets=tuple(sorted(set(int(b) for b in batch_buckets))),
             max_pool=max_pool,
@@ -372,7 +368,6 @@ class ShardedServer:
             program,
             batch_buckets=self._config.batch_buckets,
             optimize=optimize,
-            executor=executor,
             tile=tile,
         )
         self.name = program.name
@@ -419,8 +414,11 @@ class ShardedServer:
         )
 
     def alive_replicas(self) -> int:
+        """Replicas serving now: a respawn counts once its worker is ready."""
         with self._lock:
-            return sum(1 for r in self._replicas if r.alive)
+            return sum(
+                1 for r in self._replicas if r.alive and r.ready.is_set()
+            )
 
     def start(self) -> "ShardedServer":
         """Spawn every worker, wait for them to map weights, start serving."""

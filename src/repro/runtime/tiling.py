@@ -7,7 +7,7 @@ intermediates (the exp grid, the per-row sums) at full tensor size through
 the arena on every request. This module tiles such chains along a leading
 *non-reduced* row axis into cache-blocked sub-steps: each block computes
 the whole chain — elementwise pre-map, reduction, post-map — inside a
-per-worker scratch block sized by a footprint model against a configurable
+scratch block sized by a footprint model against a configurable
 cache budget, writing only the chain's final output rows to the arena.
 
 Bit-identity is preserved by construction (the swin lesson): blocks
@@ -17,7 +17,7 @@ the same numpy reduction order as the untiled plan; slicing rows changes
 *which* rows a step computes, not *how* any one row is computed.
 
 Detection runs over the optimizer's :class:`~repro.runtime.plan_opt.
-StepGroup` list (post-fusion, pre-levelisation). A chain is grown backward
+StepGroup` list (post-fusion, pre-packing). A chain is grown backward
 from a terminal group; a producer group is internalised only when every
 read of its output is *row-aligned* (first index is the reader's own row
 variable, untouched elsewhere) and every consumer lives inside the chain.
@@ -47,7 +47,7 @@ ALIGNED = "aligned"      # T[row, ...] with row absent from trailing indices
 INVARIANT = "invariant"  # row variable absent from every index
 POISON = "poison"        # row variable used any other way: not tileable
 
-# Scratch blocks are carved from one flat per-worker buffer; 64-byte slots
+# Scratch blocks are carved from one flat scratch buffer; 64-byte slots
 # keep every block cache-line aligned (and trivially float64 aligned).
 SCRATCH_ALIGN = 64
 
@@ -119,7 +119,7 @@ class TiledChain:
 
     ``member_nodes`` is every original TE node the chain computes, in
     dependency order (group order, each group's terminal last); every one
-    except ``terminal`` lives in per-worker scratch, never the arena.
+    except ``terminal`` lives in scratch, never the arena.
     """
 
     index: int
@@ -467,7 +467,7 @@ class TiledStepGroup(StepGroup):
     Downstream layers treat it like any :class:`StepGroup` — its members
     are every original node the chain computes (so characterisation and
     work estimates see the real computation) and its terminal/reads drive
-    dependency edges: every block "writes" the chain terminal (disjoint
+    arena liveness: every block "writes" the chain terminal (disjoint
     row slices) and reads only the chain's external tensors.
     """
 
@@ -493,16 +493,6 @@ class TiledStepGroup(StepGroup):
             f"{self.chain.name}"
             f"[blk {self.block_index + 1}/{self.chain.num_blocks}]"
         )
-
-    @property
-    def row_range(self) -> Tuple[int, int]:
-        return self.chain.block_ranges[self.block_index]
-
-    def work_elements(self, lanes: int) -> int:
-        """Elements this block actually moves (full-chain work, scaled)."""
-        lo, hi = self.row_range
-        total = sum(lanes * m.tensor.num_elements for m in self.members)
-        return total * (hi - lo) // max(1, self.chain.rows)
 
 
 def make_tiled_groups(chain: TiledChain) -> List["TiledStepGroup"]:
@@ -537,11 +527,12 @@ def apply_tiling(groups: List, chains: List[TiledChain]) -> List:
 
 
 class ScratchPool:
-    """Thread-safe free list of flat per-worker scratch buffers.
+    """Thread-safe free list of flat scratch buffers.
 
-    Wave dispatch and the graph executor run blocks concurrently; each
-    block run borrows one buffer (sized for the plan's largest chain) and
-    returns it, so steady-state serving allocates nothing.
+    One request runs its blocks one after another, so it holds at most one
+    buffer at a time; only concurrent requests on the same plan need more.
+    Each block run borrows one buffer (sized for the plan's largest chain)
+    and returns it, so steady-state serving allocates nothing.
     """
 
     def __init__(self, nbytes: int, max_keep: int = 32) -> None:

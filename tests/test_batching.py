@@ -18,6 +18,7 @@ from repro.models import TINY_MODELS
 from repro.runtime.batching import BatchingServer
 from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
 from repro.runtime.session import InferenceSession
+from repro.te.evaluator import Evaluator
 from repro.transform import random_feeds
 
 
@@ -281,65 +282,27 @@ class TestBatchingServer:
         assert all(f.done() for f in futures)
         assert server.requests_completed == 7
 
-    def test_graph_executor_threaded_stress(self):
-        """8 client threads hammering ONE graph-executor plan through the
-        batching server: the task-graph scheduler (threaded workers, shared
-        ready deques, per-request counter resets) must stay bit-identical
-        to a serial-replay oracle under concurrent requests, and ``stop()``
-        must drain with nothing dropped."""
-        from repro.runtime.task_graph import ThreadedScheduler
-
-        workers, per_worker = 8, 6
-        program = mlp_program()
-        session = InferenceSession(program, max_pool=2, executor="graph")
-        # Force real multi-worker scheduling even on a single-CPU runner
-        # (the default policy resolves to one worker there).
-        session.plan.graph_executor.scheduler = ThreadedScheduler(
-            max_workers=4
-        )
-        assert session.plan.graph_executor is not None
-        oracle_plan = session.plan
-        requests = request_feeds(program, workers * per_worker, seed=23)
-        expected = [
-            oracle_plan.execute_serial(
-                oracle_plan.bind_feeds(feeds), oracle_plan.new_arena()
-            )
-            for feeds in requests
-        ]
-        results = [None] * len(requests)
-
-        server = BatchingServer(
-            session, max_batch_size=8, max_queue_delay_ms=5.0
-        ).start()
-
-        def client(worker: int) -> None:
-            for j in range(per_worker):
-                index = worker * per_worker + j
-                results[index] = server.run(requests[index], timeout=60)
-
-        threads = [
-            threading.Thread(target=client, args=(w,))
-            for w in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        server.stop()  # must drain, not drop
-
-        assert all(r is not None for r in results)
-        for want, got in zip(expected, results):
-            for a, b in zip(want, got):
-                assert np.array_equal(a, b)
-        assert server.requests_completed == server.requests_submitted
-        assert server.requests_completed == workers * per_worker
-        # Graph executors really served the traffic (the server may route
-        # everything through batched buckets, each with its own executor).
-        executors = [session.plan.graph_executor] + [
-            p.graph_executor for p in session._batched_plans.values()
-        ]
-        assert all(e is not None for e in executors)
-        assert sum(e.requests for e in executors) > 0
+    def test_submit_merges_bound_weights(self):
+        """Requests to a session with a bound weight table feed only the
+        activations: ``submit`` must validate them merged with the bound
+        weights, and every lane must match the Evaluator byte for byte."""
+        program = lower_graph(TINY_MODELS["mmoe"]())
+        feeds = random_feeds(program, seed=29)
+        weights = {t.name: v for t, v in feeds.items() if t.role == "weight"}
+        activations = {
+            t.name: v for t, v in feeds.items() if t.role != "weight"
+        }
+        assert weights and activations
+        evaluator = Evaluator(feeds)
+        want = [evaluator.value_of(t).tobytes() for t in program.outputs]
+        session = InferenceSession(program)
+        session.plan_state.bind_weights(weights)
+        with session.serve(max_batch_size=4, max_queue_delay_ms=5.0) as server:
+            futures = [server.submit(dict(activations)) for _ in range(3)]
+            results = [f.result(timeout=60) for f in futures]
+        for got in results:
+            assert [g.tobytes() for g in got] == want
+        assert server.requests_completed == 3
 
     def test_submit_after_stop_rejected_and_restartable(self):
         program = mlp_program()

@@ -14,7 +14,12 @@ import pytest
 from repro.errors import ExecutionError, PlanningError
 from repro.graph import GraphBuilder, lower_graph
 from repro.models import TINY_MODELS
-from repro.runtime.executor import EXEC_ITEMSIZE, Arena, ExecutionPlan
+from repro.runtime.executor import (
+    EXEC_ITEMSIZE,
+    Arena,
+    BatchedExecutionPlan,
+    ExecutionPlan,
+)
 from repro.runtime.memory_planner import BufferAssignment, MemoryPlan, plan_memory
 from repro.runtime.session import InferenceSession
 from repro.te import compute, placeholder
@@ -72,6 +77,34 @@ class TestDifferential:
         second_a = session.run(feeds_a)
         for got, want in zip(second_a, first_a):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(TINY_MODELS))
+    def test_every_plan_configuration_matches_evaluator(self, name):
+        """optimize x tile x batched/unbatched, all through the one replay
+        loop: every output is byte-identical to the Evaluator."""
+        program = lower_graph(TINY_MODELS[name]())
+        requests = [random_feeds(program, seed=s) for s in (41, 42)]
+        want = [
+            [v.tobytes() for v in oracle(program, feeds)]
+            for feeds in requests
+        ]
+        configs = (
+            dict(optimize=False),
+            dict(optimize=True, tile=False),
+            dict(optimize=True),
+            dict(optimize=True, tile_block_rows=2),  # tiling forced on
+        )
+        for config in configs:
+            plan = ExecutionPlan(program, **config)
+            for feeds, expected in zip(requests, want):
+                got = [v.tobytes() for v in plan.run(feeds)]
+                assert got == expected, (name, config)
+            lanes = BatchedExecutionPlan(program, 2, **config).run_batch(
+                requests
+            )
+            for lane, expected in zip(lanes, want):
+                got = [v.tobytes() for v in lane]
+                assert got == expected, (name, config, "batched")
 
     def test_mixed_expression_forms(self):
         """Select/compare/intrinsic/index-arithmetic bodies round-trip."""

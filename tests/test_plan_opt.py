@@ -3,9 +3,8 @@
 The contract: an optimized :class:`ExecutionPlan` is *bit-identical* to the
 unoptimized plan on every paper model — unbatched and batched — while
 hoisting weight-only subgraphs out of the request path (Sec. 5.1), fusing
-single-consumer map chains (Sec. 6.2), eliding dead inputs in place
-(Sec. 6.5) and dispatching independent waves in parallel (Sec. 6.1).
-Every pass, in every combination, must also leave a layout the static
+single-consumer map chains (Sec. 6.2) and eliding dead inputs in place
+(Sec. 6.5). Every pass, in every combination, must also leave a layout the static
 verifier accepts.
 """
 
@@ -16,9 +15,9 @@ from hypothesis import strategies as st
 
 from repro.graph import GraphBuilder, lower_graph
 from repro.models import TINY_MODELS
-from repro.runtime import plan_opt
 from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
 from repro.runtime.plan_opt import optimize_plan, plan_optimization
+from repro.runtime.session import InferenceSession
 from repro.transform import random_feeds
 from repro.verify import verify_plan
 
@@ -82,7 +81,6 @@ def pass_flags(draw):
         "hoist": draw(st.booleans()),
         "fuse": draw(st.booleans()),
         "elide": draw(st.booleans()),
-        "waves": draw(st.booleans()),
     }
 
 
@@ -208,16 +206,14 @@ def map_chain_program():
 class TestFusion:
     def test_single_consumer_map_chain_fuses(self):
         program = map_chain_program()
-        opt = plan_optimization(program, hoist=False, elide=False,
-                                waves=False)
+        opt = plan_optimization(program, hoist=False, elide=False)
         assert opt.stats.fused_steps == 2  # relu->sigmoid, sigmoid->tanh
         names = [g.name for g in opt.groups]
         assert any("+" in name for name in names), names
 
     def test_fused_interiors_deleted_from_arena(self):
         program = map_chain_program()
-        opt = plan_optimization(program, hoist=False, elide=False,
-                                waves=False)
+        opt = plan_optimization(program, hoist=False, elide=False)
         interiors = {
             id(m.tensor)
             for g in opt.groups
@@ -238,8 +234,7 @@ class TestFusion:
         x = b.input((4, 4), name="x")
         y = b.relu(x)
         program = lower_graph(b.build([b.add(b.sigmoid(y), b.tanh(y))]))
-        opt = plan_optimization(program, hoist=False, elide=False,
-                                waves=False)
+        opt = plan_optimization(program, hoist=False, elide=False)
         producer = next(
             n for n in program.nodes if n.tensor.name.startswith("relu")
         )
@@ -264,10 +259,9 @@ def elidable_program():
 class TestElision:
     def test_elision_shrinks_workspace(self):
         program = elidable_program()
-        with_elide = plan_optimization(program, hoist=False, fuse=False,
-                                       waves=False)
+        with_elide = plan_optimization(program, hoist=False, fuse=False)
         without = plan_optimization(program, hoist=False, fuse=False,
-                                    elide=False, waves=False)
+                                    elide=False)
         assert with_elide.stats.elided_buffers > 0
         assert with_elide.inplace_pairs
         assert (with_elide.memory_plan.workspace_bytes
@@ -296,48 +290,78 @@ class TestElision:
                         == plain.memory_plan.workspace_bytes), name
 
 
-# ---- pass 4: parallel wave scheduling ----------------------------------------
+# ---- replay order ------------------------------------------------------------
 
 
-def branchy_program():
-    b = GraphBuilder("branchy")
-    x = b.input((16, 16), name="x")
-    branches = [b.relu(x), b.sigmoid(x), b.tanh(x), b.exp(x)]
+def wide_branchy_program():
+    """Four independent 256x256 matmul branches summed: every branch step
+    moves 65536 elements, so nothing but data dependences orders them."""
+    b = GraphBuilder("wide")
+    x = b.input((256, 256), name="x")
+    branches = [
+        b.relu(b.matmul(x, b.weight((256, 256), name=f"w{i}")))
+        for i in range(4)
+    ]
     out = branches[0]
     for other in branches[1:]:
         out = b.add(out, other)
     return lower_graph(b.build([out]))
 
 
-class TestWaves:
-    def test_independent_steps_share_a_wave(self):
-        program = branchy_program()
-        opt = plan_optimization(program, hoist=False, fuse=False,
-                                elide=False)
-        assert opt.stats.wave_count < len(opt.groups)
-        assert any(len(wave) > 1 for wave in opt.waves)
+def record_order(plan):
+    """Wrap every step's ``run`` to log when it starts and ends.
 
-    def test_parallel_dispatch_is_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(plan_opt, "PARALLEL_MIN_WAVE_ELEMENTS", 0)
-        program = branchy_program()
-        feeds = random_feeds(program, seed=6)
-        want = ExecutionPlan(program, optimize=False).run(feeds)
-        plan = ExecutionPlan(program, optimize=False)
-        # Fusion would collapse this graph to one step; disable it so the
-        # branches stay separate and actually share a dispatchable wave.
-        optimize_plan(plan, opt=plan_optimization(program, fuse=False))
-        assert plan.waves is not None
-        assert any(parallel for _, parallel in plan.waves)
-        for _ in range(3):
-            got = plan.run(feeds)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+    Returns the log. Steps that overlap in time (dispatched concurrently)
+    interleave their entries; a serial replay logs each start right before
+    its own end.
+    """
+    order = []
+    for step in plan.steps:
+        def run(values, name=step.name, inner=step.run):
+            order.append(("start", name))
+            inner(values)
+            order.append(("end", name))
 
-    def test_small_waves_stay_serial(self):
-        program = branchy_program()
+        step.run = run
+    return order
+
+
+class TestReplayOrder:
+    def test_steps_keep_program_order(self):
+        program = wide_branchy_program()
         plan = ExecutionPlan(program, optimize=True)
-        if plan.waves is not None:
-            assert not any(parallel for _, parallel in plan.waves)
+        assert [s.index for s in plan.steps] == list(range(len(plan.steps)))
+        positions = [g.terminal.index for g in plan.optimization.groups]
+        assert positions == sorted(positions)
+        assert plan.optimization.stats.wave_count == len(plan.steps)
+
+    def test_profiling_replays_the_served_order(self):
+        """Observing must not change what is observed: a profiled session
+        runs the same steps, in the same order, to the same bytes."""
+        program = wide_branchy_program()
+        feeds = random_feeds(program, seed=17)
+        plain = InferenceSession(program)
+        profiled = InferenceSession(program, profile=True)
+        big = [
+            s for s in plain.plan.steps
+            if s.kind in ("einsum", "matmul")
+        ]
+        assert len(big) == 4
+        plain_order = record_order(plain.plan)
+        profiled_order = record_order(profiled.plan)
+        for _ in range(2):
+            want = plain.run(feeds)
+            got = profiled.run(feeds)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert plain_order == profiled_order
+        served = [
+            (event, s.name)
+            for s in plain.plan.steps
+            for event in ("start", "end")
+        ]
+        assert plain_order == served * 2
+        report = profiled.profile_report()
+        assert all(s.calls == 2 for s in report.steps)
 
 
 # ---- stats and reporting -----------------------------------------------------
@@ -353,10 +377,10 @@ class TestStats:
         assert stats.steps_after == (
             stats.steps_before - stats.hoisted_steps - stats.fused_steps
         )
-        assert stats.wave_count == len(plan.optimization.waves)
+        assert stats.wave_count == stats.steps_after
         assert stats.workspace_after == plan.memory_plan.workspace_bytes
         assert "->" in stats.summary()
-        assert "waves" in stats.render()
+        assert "arena workspace" in stats.render()
 
     def test_repr_tags_optimized_plans(self):
         program = map_chain_program()
