@@ -22,6 +22,7 @@ from common import MODEL_NAMES, save_json, save_table
 
 from repro.graph.lowering import lower_graph
 from repro.models import TINY_MODELS
+from repro.runtime.executor import PlanConfig
 from repro.runtime.session import InferenceSession
 from repro.te.evaluator import Evaluator
 from repro.transform.semantics import random_feeds
@@ -31,6 +32,9 @@ FLOOR_SPEEDUP = 2.0
 FLOOR_MODELS = ("bert", "mmoe")
 CALLS = 32
 BEST_OF = 3
+
+# The plain lowering: the optimizer pass pipeline off.
+PLAIN = PlanConfig(optimize=False)
 
 
 def _interpret(program, feeds):
@@ -75,16 +79,17 @@ def test_workspace_allocated_once(programs):
     # The per-tensor arena-backing claim is about the unoptimized layout:
     # the plan optimizer legitimately deletes fused interiors and hoisted
     # tensors from the arena, so they have no views to check.
-    session = InferenceSession(program, optimize=False)
+    session = InferenceSession(program, config=PLAIN)
     feeds = random_feeds(program, seed=1)
     for _ in range(CALLS):
         session.run(feeds)
-    assert session.request_count == CALLS
+    assert session.arena_state.request_count == CALLS
     assert session.arenas_allocated == 1
-    assert session.workspace_bytes == session.plan.memory_plan.workspace_bytes
-    assert session.workspace_bytes > 0
+    plan = session.plan
+    assert plan.workspace_bytes == plan.memory_plan.workspace_bytes
+    assert plan.workspace_bytes > 0
     # Every non-output intermediate is backed by planned arena bytes.
-    arena = session._free_arenas[0]
+    arena = session.arena_state._free_arenas[0]
     for node in program.nodes:
         if program.is_output(node.tensor):
             continue
@@ -116,14 +121,14 @@ def test_serve_throughput(programs):
             "plan_ms_per_req": plan_s / CALLS * 1e3,
             "speedup": speedup,
             "plan_req_per_s": CALLS / plan_s,
-            "workspace_bytes": session.workspace_bytes,
+            "workspace_bytes": session.plan.workspace_bytes,
             "steps": session.plan.num_steps,
         })
         rows.append(
             f"{name:14s} {interp_s / CALLS * 1e3:10.3f} "
             f"{plan_s / CALLS * 1e3:9.3f} {speedup:8.2f} "
             f"{CALLS / plan_s:11.1f} "
-            f"{session.workspace_bytes / 1e3:9.1f} "
+            f"{session.plan.workspace_bytes / 1e3:9.1f} "
             f"{session.plan.num_steps:6d}"
         )
 
@@ -170,8 +175,8 @@ def test_optimized_plan_latency(programs):
     for name in MODEL_NAMES:
         program = programs[name]
         feeds = random_feeds(program, seed=5)
-        plain = InferenceSession(program, optimize=False)
-        optimized = InferenceSession(program, optimize=True)
+        plain = InferenceSession(program, config=PLAIN)
+        optimized = InferenceSession(program)
         plain.run(feeds)      # warm: plans + arenas + numpy caches
         optimized.run(feeds)
 
@@ -420,7 +425,9 @@ def test_tiled_reduction_latency():
 
     program = lower_graph(build_norm_stack())
     feeds = random_feeds(program, seed=43)
-    untiled = InferenceSession(program, name="norm_stack", tile=False)
+    untiled = InferenceSession(
+        program, name="norm_stack", config=PlanConfig(tile=False)
+    )
     tiled = InferenceSession(program, name="norm_stack")
 
     chains = tiled.plan.optimization.tiled_chains
@@ -471,8 +478,8 @@ def test_tiled_reduction_smoke():
 
     program = lower_graph(build_norm_stack(rows=256, cols=64, depth=2))
     feeds = random_feeds(program, seed=47)
-    want = ExecutionPlan(program, optimize=True, tile=False).run(feeds)
-    plan = ExecutionPlan(program, optimize=True, tile_budget=1 << 16)
+    want = ExecutionPlan(program, config=PlanConfig(tile=False)).run(feeds)
+    plan = ExecutionPlan(program, config=PlanConfig(tile_budget=1 << 16))
     assert plan.optimization.tiled_chains
     for a, b in zip(plan.run(feeds), want):
         assert np.array_equal(a, b)

@@ -23,7 +23,7 @@ from repro.gpu.device import GPUSpec, a100_40gb, v100_16gb
 from repro.graph.builder import GraphBuilder
 from repro.graph.lowering import lower_graph
 from repro.models import get_model
-from repro.runtime.executor import ExecutionPlan
+from repro.runtime.executor import ExecutionPlan, PlanConfig
 from repro.runtime.module import CompiledModule
 from repro.runtime.profiler import ProfileReport, profile_module
 from repro.runtime.session import InferenceSession
@@ -38,6 +38,7 @@ __all__ = [
     "InferenceSession",
     "GraphBuilder",
     "ModuleCache",
+    "PlanConfig",
     "ProfileReport",
     "ScheduleCache",
     "SouffleCompiler",

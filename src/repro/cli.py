@@ -164,6 +164,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     """Measure plan-based serving throughput vs the interpretive evaluator."""
     import numpy as np
 
+    from repro.runtime.executor import PlanConfig
     from repro.runtime.session import InferenceSession
     from repro.transform.semantics import random_feeds
 
@@ -185,7 +186,8 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         buckets.add(args.batch)
     session = InferenceSession(
         program, name=graph.name, profile=True,
-        batch_buckets=tuple(sorted(buckets)), tile=args.tile,
+        batch_buckets=tuple(sorted(buckets)),
+        config=PlanConfig(tile=args.tile),
     )
 
     # Warm both paths once (plan construction, numpy caches).
@@ -336,6 +338,7 @@ def _serve_bench_sharded(args: argparse.Namespace, graph, feeds) -> bool:
     import numpy as np
 
     from repro.runtime.batching import BatchingServer
+    from repro.runtime.executor import PlanConfig
     from repro.runtime.session import InferenceSession
     from repro.runtime.sharding import ShardedServer
 
@@ -359,7 +362,8 @@ def _serve_bench_sharded(args: argparse.Namespace, graph, feeds) -> bool:
     batch = args.batch if args.batch > 1 else 8
 
     # Serial reference for the bit-identity check.
-    ref = InferenceSession(ref_program, name=graph.name, tile=args.tile)
+    config = PlanConfig(tile=args.tile)
+    ref = InferenceSession(ref_program, name=graph.name, config=config)
     serial = [ref.run(request) for request in requests]
 
     # Baseline: one process, one session, dynamic batching.
@@ -375,7 +379,7 @@ def _serve_bench_sharded(args: argparse.Namespace, graph, feeds) -> bool:
 
     server = ShardedServer(
         graph, weights, replicas=args.replicas, policy=args.policy,
-        max_batch_size=batch, max_queue_delay_ms=2.0, tile=args.tile,
+        max_batch_size=batch, max_queue_delay_ms=2.0, config=config,
     )
     with server:
         start = time.perf_counter()
@@ -460,13 +464,14 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
         from repro.runtime.executor import (
             BatchedExecutionPlan,
             ExecutionPlan,
+            PlanConfig,
         )
 
+        config = PlanConfig(tile=args.tile)
         plan = (
-            BatchedExecutionPlan(program, batch, optimize=True,
-                                 tile=args.tile)
+            BatchedExecutionPlan(program, batch, config=config)
             if batch is not None
-            else ExecutionPlan(program, optimize=True, tile=args.tile)
+            else ExecutionPlan(program, config=config)
         )
         optimization = plan.optimization
     else:

@@ -22,15 +22,6 @@ class SouffleOptions:
     subprogram_opt: bool = True
     validate: bool = False  # differentially check every transformation
     verify: bool = False    # statically verify the IR at every pipeline stage
-    # Serve through plan-optimized execution plans (runtime step fusion,
-    # weight hoisting, in-place elision, tiling). Orthogonal to
-    # the V-levels: it rewrites the *runtime* step list, not the TE IR.
-    optimize_plans: bool = True
-    # Block-level tiling of map->reduce->map chains (runtime.tiling):
-    # cache-blocked sub-steps with pooled scratch, applied by the plan
-    # optimizer when profitable. On by default; only meaningful when
-    # optimize_plans is on.
-    tile_reductions: bool = True
     # Translation validation (verify.equiv): emit a symbolic equivalence
     # certificate per transform application and gate the compile on any
     # refuted certificate. ``certify_unknown`` picks what an *unknown*
@@ -38,20 +29,12 @@ class SouffleOptions:
     # aborts the compile like a refutation.
     certify: bool = False
     certify_unknown: str = "warn"
-    # Record per-step execution timings into the persistent profile store
-    # (runtime.profile_store), keyed by program hash and shape bucket.
-    # Off by default: profiling adds a per-request bookkeeping cost and
-    # most sessions only *consume* profiles (through the cost model).
-    collect_profiles: bool = False
 
     @classmethod
     def from_level(cls, level: int, validate: bool = False,
                    verify: bool = False,
-                   optimize_plans: bool = True,
-                   tile_reductions: bool = True,
                    certify: bool = False,
-                   certify_unknown: str = "warn",
-                   collect_profiles: bool = False) -> "SouffleOptions":
+                   certify_unknown: str = "warn") -> "SouffleOptions":
         """Build the Table-4 ablation configuration V<level>."""
         if not 0 <= level <= 4:
             raise ValueError(f"optimisation level must be 0..4, got {level}")
@@ -62,11 +45,8 @@ class SouffleOptions:
             subprogram_opt=level >= 4,
             validate=validate,
             verify=verify,
-            optimize_plans=optimize_plans,
-            tile_reductions=tile_reductions,
             certify=certify,
             certify_unknown=certify_unknown,
-            collect_profiles=collect_profiles,
         )
 
     @property

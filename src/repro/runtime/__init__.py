@@ -6,6 +6,7 @@ from repro.runtime.executor import (
     Arena,
     BatchedExecutionPlan,
     ExecutionPlan,
+    PlanConfig,
     PlanStep,
 )
 from repro.runtime.memory_planner import MemoryPlan, plan_memory
@@ -34,6 +35,7 @@ __all__ = [
     "KernelProfile",
     "MemoryPlan",
     "PhaseTimer",
+    "PlanConfig",
     "PlanStep",
     "ProfileReport",
     "StepTiming",

@@ -40,6 +40,7 @@ import numpy as np
 from concurrent.futures import Future
 
 from repro.errors import ExecutionError
+from repro.runtime.profiler import BatchStats, window_percentiles
 from repro.runtime.session import InferenceSession, resolve_feeds_by_name
 from repro.te.tensor import Tensor
 
@@ -251,19 +252,10 @@ class BatchingServer:
         """p50/p95/p99 queue wait (seconds) over the bounded window."""
         with self._metrics_lock:
             window = list(self._queue_waits)
-        if not window:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        arr = np.asarray(window)
-        return {
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-        }
+        return window_percentiles(window)
 
     def profile_report(self):
         """The session's profile with server-side batching stats merged."""
-        from repro.runtime.profiler import BatchStats
-
         report = self.session.profile_report()
         stats = report.batching
         if stats is None:

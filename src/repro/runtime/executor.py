@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -482,6 +483,28 @@ def compile_plan_step(
     return PlanStep(index, tensor.name, "reduce", key, run_reduce)
 
 
+@dataclass(frozen=True)
+class PlanConfig:
+    """Every knob that shapes a built plan; ``PlanConfig()`` is what
+    serving runs.
+
+    ``optimize`` runs the plan-optimizer pass pipeline (runtime.plan_opt);
+    ``PlanConfig(optimize=False)`` keeps the plain lowering. ``tile`` lets
+    the optimizer block-tile profitable reduction chains (runtime.tiling);
+    ``tile_budget`` overrides the footprint model's cache budget and
+    ``tile_block_rows`` forces a block size (tests). ``cost_model`` is a
+    measured :class:`~repro.runtime.cost_model.CostModel` the optimizer
+    consults for decisions that are otherwise static constants; None (or
+    an empty model) keeps static planning bit-for-bit.
+    """
+
+    optimize: bool = True
+    tile: bool = True
+    tile_budget: Optional[int] = None
+    tile_block_rows: Optional[int] = None
+    cost_model: Optional[object] = None
+
+
 class ExecutionPlan:
     """A TE program lowered to a flat, replayable step list + arena layout."""
 
@@ -496,25 +519,9 @@ class ExecutionPlan:
         self,
         program: TEProgram,
         memory_plan: Optional[MemoryPlan] = None,
-        optimize: bool = False,
-        tile: bool = True,
-        tile_budget: Optional[int] = None,
-        tile_block_rows: Optional[int] = None,
-        certify: bool = False,
-        cost_model: Optional[object] = None,
+        config: PlanConfig = PlanConfig(),
     ) -> None:
-        # Block-level tiling of reduction chains (runtime.tiling), applied
-        # by the optimizer pass pipeline: default on, profitable chains
-        # only. tile_budget overrides the footprint model's cache budget;
-        # tile_block_rows forces a block size (tests).
-        self.tile = tile
-        self.tile_budget = tile_budget
-        self.tile_block_rows = tile_block_rows
-        # Injected measured cost model (runtime.cost_model.CostModel) or
-        # None: the optimizer consults it for decisions that are otherwise
-        # static constants. With no model (or an empty profile store) every
-        # decision falls back to today's static rules bit-for-bit.
-        self.cost_model = cost_model
+        self.config = config
         self._scratch_pool = None
         self.program = program
         if memory_plan is None:
@@ -546,26 +553,10 @@ class ExecutionPlan:
         self._hoist_lock = threading.Lock()
         self.hoist_evaluations = 0
         self.hoist_content_hits = 0
-        if optimize:
+        if config.optimize:
             from repro.runtime.plan_opt import optimize_plan
 
             optimize_plan(self)
-        # Translation validation of the built plan (verify.equiv): certify
-        # the optimizer's transforms and the batched lowering against this
-        # plan's program; any refuted certificate is a planning error. The
-        # report is kept on the plan for inspection (repro certify).
-        self.certification = None
-        if certify:
-            from repro.verify.equiv import certify_plan
-
-            report = certify_plan(self)
-            self.certification = report
-            refuted = report.refuted
-            if refuted:
-                raise PlanningError(
-                    "plan certification refuted: "
-                    + "; ".join(c.render() for c in refuted)
-                )
         ExecutionPlan.plans_built += 1
 
     # ---- construction ----------------------------------------------------
@@ -896,12 +887,7 @@ class BatchedExecutionPlan(ExecutionPlan):
         program: TEProgram,
         batch_size: int,
         memory_plan: Optional[MemoryPlan] = None,
-        optimize: bool = False,
-        tile: bool = True,
-        tile_budget: Optional[int] = None,
-        tile_block_rows: Optional[int] = None,
-        certify: bool = False,
-        cost_model: Optional[object] = None,
+        config: PlanConfig = PlanConfig(),
     ) -> None:
         if batch_size < 1:
             raise PlanningError(
@@ -909,12 +895,7 @@ class BatchedExecutionPlan(ExecutionPlan):
             )
         # Set before super().__init__: the sizer and step builders read it.
         self.batch_size = int(batch_size)
-        super().__init__(
-            program, memory_plan, optimize=optimize,
-            tile=tile, tile_budget=tile_budget,
-            tile_block_rows=tile_block_rows, certify=certify,
-            cost_model=cost_model,
-        )
+        super().__init__(program, memory_plan, config)
 
     def bind_batch(
         self, feeds_list: Sequence[Mapping[Tensor, np.ndarray]]

@@ -122,8 +122,6 @@ class CompiledModule:
         device: GPUSpec,
         stats: Optional[CompileStats] = None,
         program_loader: Optional[Callable[[], TEProgram]] = None,
-        optimize_plans: bool = True,
-        tile_reductions: bool = True,
         certificates: Sequence = (),
     ) -> None:
         self.name = name
@@ -138,12 +136,6 @@ class CompiledModule:
         # warm compile these are replayed from the certificate tier of the
         # compile cache rather than re-proved.
         self.certificates: List = list(certificates)
-        # Whether sessions built from this module serve plan-optimized
-        # execution plans (SouffleOptions.optimize_plans), and whether the
-        # plan optimizer may tile reduction chains (SouffleOptions.
-        # tile_reductions, see runtime.tiling).
-        self.optimize_plans = optimize_plans
-        self.tile_reductions = tile_reductions
         self._session: Optional["InferenceSession"] = None
 
     # ---- program materialisation ---------------------------------------------
@@ -187,18 +179,16 @@ class CompiledModule:
 
         Every :meth:`run` call replays this session's execution plan against
         its pooled arena — the per-request cost is a flat step loop, not an
-        expression-tree walk.
+        expression-tree walk. The session serves the default
+        :class:`~repro.runtime.executor.PlanConfig` (optimized, tiled), so
+        a cold compile and a warm module-cache hit serve the same plan.
         """
         if self._session is None:
             # Imported here: the session module is runtime-internal and this
             # keeps module import light for performance-only consumers.
             from repro.runtime.session import InferenceSession
 
-            self._session = InferenceSession(
-                self.program, name=self.name,
-                optimize=self.optimize_plans,
-                tile=self.tile_reductions,
-            )
+            self._session = InferenceSession(self.program, name=self.name)
         return self._session
 
     def run(self, feeds: Mapping[Tensor, np.ndarray]) -> List[np.ndarray]:

@@ -857,15 +857,16 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     from repro.runtime.executor import PlanStep
     from repro.verify import Severity, verify_plan
 
-    cost_model = getattr(plan, "cost_model", None)
+    config = plan.config
+    cost_model = config.cost_model
     if cost_model is not None and not cost_model.has_measurements():
         cost_model = None  # empty store: static behaviour, bit-for-bit
     if opt is None:
         opt = plan_optimization(
             plan.program, sizer=plan._sizer, batch_size=plan.batch_size,
-            tile=getattr(plan, "tile", True),
-            tile_budget=getattr(plan, "tile_budget", None),
-            tile_block_rows=getattr(plan, "tile_block_rows", None),
+            tile=config.tile,
+            tile_budget=config.tile_budget,
+            tile_block_rows=config.tile_block_rows,
             cost_model=cost_model,
         )
 

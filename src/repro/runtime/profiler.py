@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.gpu.kernel import KernelMetrics
 from repro.gpu.simulator import ModuleMetrics
@@ -123,6 +125,18 @@ def profile_module(module: CompiledModule) -> ProfileReport:
 # The counters above come from the analytic GPU model; the plan-based numpy
 # execution engine reports *measured* wall time instead. Both surface through
 # this module so serving and simulation share one profiling namespace.
+
+
+def window_percentiles(window: Sequence[float]) -> Dict[str, float]:
+    """p50/p95/p99 of one bounded window of samples (zeros when empty)."""
+    if not window:
+        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+    arr = np.asarray(window)
+    return {
+        "p50": float(np.percentile(arr, 50)),
+        "p95": float(np.percentile(arr, 95)),
+        "p99": float(np.percentile(arr, 99)),
+    }
 
 
 @dataclass

@@ -51,7 +51,13 @@ import numpy as np
 
 from repro.errors import ExecutionError, PlanningError
 from repro.graph.te_program import TEProgram
-from repro.runtime.executor import Arena, BatchedExecutionPlan, ExecutionPlan
+from repro.runtime.executor import (
+    Arena,
+    BatchedExecutionPlan,
+    ExecutionPlan,
+    PlanConfig,
+)
+from repro.runtime.profiler import window_percentiles
 from repro.te.tensor import Tensor
 
 # Per-bucket batched plans compiled on demand; bucket 1 is the unbatched
@@ -96,28 +102,18 @@ class PlanState:
     plans (built lazily under a lock, then never mutated), and an optional
     bound weight table. Many sessions — threads or processes — can serve
     from one ``PlanState``; each brings its own :class:`ArenaState`.
+    ``config`` shapes the unbatched plan, and every bucket is built from
+    that plan's config, so the two cannot drift apart.
     """
 
     def __init__(
         self,
         program: TEProgram,
-        plan: Optional[ExecutionPlan] = None,
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
-        optimize: bool = True,
-        tile: bool = True,
-        cost_model: Optional[object] = None,
+        config: PlanConfig = PlanConfig(),
     ) -> None:
         self.program = program
-        self.optimize = optimize
-        self.tile = tile
-        # Measured cost model steering the optimizer's plan decisions
-        # (None, or an empty model, keeps static planning bit-for-bit).
-        self.cost_model = cost_model
-        self.plan = (
-            plan if plan is not None
-            else ExecutionPlan(program, optimize=optimize, tile=tile,
-                               cost_model=cost_model)
-        )
+        self.plan = ExecutionPlan(program, config=config)
         self._program_hash: Optional[str] = None
         buckets = sorted(set(int(b) for b in batch_buckets))
         if not buckets or buckets[0] < 2:
@@ -218,8 +214,7 @@ class PlanState:
             plan = self._batched_plans.get(bucket)
         if plan is None:
             built = BatchedExecutionPlan(
-                self.plan.program, bucket, optimize=self.optimize,
-                tile=self.tile, cost_model=self.cost_model,
+                self.program, bucket, config=self.plan.config
             )
             with self._lock:
                 plan = self._batched_plans.setdefault(bucket, built)
@@ -264,7 +259,6 @@ class ArenaState:
     def __init__(
         self,
         max_pool: int = DEFAULT_MAX_POOL,
-        latency_window: int = DEFAULT_LATENCY_WINDOW,
         num_steps: int = 0,
     ) -> None:
         if max_pool < 1:
@@ -283,7 +277,7 @@ class ArenaState:
         self.batches_executed = 0
         self.batched_requests = 0
         self.occupancy_sum = 0.0
-        self.latencies: deque = deque(maxlen=latency_window)
+        self.latencies: deque = deque(maxlen=DEFAULT_LATENCY_WINDOW)
         self.step_seconds = [0.0] * num_steps
         self.step_calls = 0
         # collect_profiles accumulators, kept per batch bucket (None =
@@ -323,32 +317,26 @@ class InferenceSession:
         program: TEProgram,
         name: Optional[str] = None,
         profile: bool = False,
-        plan: Optional[ExecutionPlan] = None,
         max_pool: int = DEFAULT_MAX_POOL,
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
-        latency_window: int = DEFAULT_LATENCY_WINDOW,
-        optimize: bool = True,
-        tile: bool = True,
+        config: PlanConfig = PlanConfig(),
         plan_state: Optional[PlanState] = None,
         collect_profiles: bool = False,
         profile_store: Optional[object] = None,
-        cost_model: Optional[object] = None,
     ) -> None:
         self.name = name if name is not None else program.name
-        # Serving defaults to optimized plans (the pass pipeline is proven
-        # bit-identical at plan time); ``optimize=False`` serves the plain
-        # lowering, and an explicit ``plan`` is used as-is either way.
-        # ``tile`` gates the optimizer's block-level tiling of reduction
-        # chains (runtime.tiling) for the plan and its batched buckets.
-        # ``collect_profiles`` measures per-step wall time on every request
-        # and flushes it to ``profile_store`` (resolved through
-        # resolve_profile_store: None honours $REPRO_CACHE_DIR) so later
-        # compiles can plan against measured costs. ``cost_model`` is the
-        # consuming side: a measured CostModel steering this session's plan.
+        # ``config`` shapes the served plan and its batched buckets; the
+        # default serves optimized, tiled plans (the pass pipeline is
+        # proven bit-identical at plan time) and ``PlanConfig(optimize=
+        # False)`` serves the plain lowering. A shared ``plan_state``
+        # brings its own plans, so ``config`` and ``batch_buckets`` are
+        # then unused. ``collect_profiles`` measures per-step wall time on
+        # every request and flushes it to ``profile_store`` (resolved
+        # through resolve_profile_store: None honours $REPRO_CACHE_DIR) so
+        # later compiles can plan against measured costs.
         if plan_state is None:
             plan_state = PlanState(
-                program, plan=plan, batch_buckets=batch_buckets,
-                optimize=optimize, tile=tile, cost_model=cost_model,
+                program, batch_buckets=batch_buckets, config=config
             )
         self.plan_state = plan_state
         self.profile = profile
@@ -359,9 +347,7 @@ class InferenceSession:
 
             self._profile_store = resolve_profile_store(profile_store)
         self.arena_state = ArenaState(
-            max_pool=max_pool,
-            latency_window=latency_window,
-            num_steps=plan_state.plan.num_steps,
+            max_pool=max_pool, num_steps=plan_state.plan.num_steps
         )
 
     @classmethod
@@ -371,7 +357,6 @@ class InferenceSession:
         name: Optional[str] = None,
         profile: bool = False,
         max_pool: int = DEFAULT_MAX_POOL,
-        latency_window: int = DEFAULT_LATENCY_WINDOW,
         collect_profiles: bool = False,
         profile_store: Optional[object] = None,
     ) -> "InferenceSession":
@@ -382,85 +367,21 @@ class InferenceSession:
             name=name,
             profile=profile,
             max_pool=max_pool,
-            latency_window=latency_window,
             plan_state=plan_state,
             collect_profiles=collect_profiles,
             profile_store=profile_store,
         )
 
-    # ---- shared-state delegation (back-compat surface) -------------------
+    # The two shortcuts perfbench reads; everything else lives on
+    # ``plan_state`` (shared plans) or ``arena_state`` (pools, counters).
 
     @property
     def plan(self) -> ExecutionPlan:
         return self.plan_state.plan
 
     @property
-    def optimize(self) -> bool:
-        return self.plan_state.optimize
-
-    @property
-    def tile(self) -> bool:
-        return self.plan_state.tile
-
-    @property
-    def batch_buckets(self) -> Tuple[int, ...]:
-        return self.plan_state.batch_buckets
-
-    @property
-    def _batched_plans(self) -> Dict[int, BatchedExecutionPlan]:
-        return self.plan_state._batched_plans
-
-    @property
-    def unbatchable_buckets(self) -> set:
-        return self.plan_state.unbatchable_buckets
-
-    @property
-    def max_pool(self) -> int:
-        return self.arena_state.max_pool
-
-    @property
-    def _free_arenas(self) -> List[Arena]:
-        return self.arena_state._free_arenas
-
-    @property
-    def _lock(self) -> threading.Lock:
-        return self.arena_state.lock
-
-    @property
     def arenas_allocated(self) -> int:
         return self.arena_state.arenas_allocated
-
-    @property
-    def arenas_trimmed(self) -> int:
-        return self.arena_state.arenas_trimmed
-
-    @property
-    def arenas_in_use(self) -> int:
-        return self.arena_state.arenas_in_use
-
-    @property
-    def pool_high_water(self) -> int:
-        return self.arena_state.pool_high_water
-
-    @property
-    def request_count(self) -> int:
-        return self.arena_state.request_count
-
-    @property
-    def request_seconds(self) -> float:
-        return self.arena_state.request_seconds
-
-    @property
-    def last_latency_s(self) -> float:
-        return self.arena_state.last_latency_s
-
-    @property
-    def batches_executed(self) -> int:
-        return self.arena_state.batches_executed
-
-    @property
-    def batched_requests(self) -> int:
-        return self.arena_state.batched_requests
 
     # ---- arena pool ------------------------------------------------------
 
@@ -493,42 +414,6 @@ class InferenceSession:
             else:
                 state.arenas_trimmed += 1
             state.note_high_water()
-
-    @property
-    def arenas_pooled(self) -> int:
-        """Arenas currently idle in the pools (unbatched + every bucket)."""
-        return self.arena_state.pooled()
-
-    @property
-    def workspace_bytes(self) -> int:
-        """Bytes of one unbatched arena (batched buckets scale with B)."""
-        return self.plan.workspace_bytes
-
-    # ---- batched plans ---------------------------------------------------
-
-    def select_batch_bucket(self, n: int) -> int:
-        return self.plan_state.select_batch_bucket(n)
-
-    def batch_plan(self, bucket: int) -> BatchedExecutionPlan:
-        """The batched plan for one bucket (compiled lazily, cached)."""
-        return self.plan_state.batch_plan(bucket)
-
-    def _batch_plan_or_none(
-        self, bucket: int
-    ) -> Optional[BatchedExecutionPlan]:
-        # Routed through self.batch_plan (not PlanState directly) so a
-        # session-level override sees the build attempt; the unbatchable
-        # set itself is shared state on the PlanState.
-        state = self.plan_state
-        with state._lock:
-            if bucket in state.unbatchable_buckets:
-                return None
-        try:
-            return self.batch_plan(bucket)
-        except (ExecutionError, PlanningError):
-            with state._lock:
-                state.unbatchable_buckets.add(bucket)
-            return None
 
     # ---- execution -------------------------------------------------------
 
@@ -568,7 +453,7 @@ class InferenceSession:
         if not feeds_list:
             return []
         results: List[List[np.ndarray]] = []
-        max_bucket = self.batch_buckets[-1]
+        max_bucket = self.plan_state.batch_buckets[-1]
         for i in range(0, len(feeds_list), max_bucket):
             results.extend(self._run_chunk(feeds_list[i:i + max_bucket]))
         return results
@@ -588,15 +473,16 @@ class InferenceSession:
         n = len(chunk)
         if n == 1:
             return [self.run(chunk[0])]
-        bucket = self.select_batch_bucket(n)
-        plan = self._batch_plan_or_none(bucket)
+        state = self.plan_state
+        bucket = state.select_batch_bucket(n)
+        plan = state.batch_plan_or_none(bucket)
         while plan is None:
             # Degrade: largest bucket below the failed one, else unbatched.
-            smaller = [b for b in self.batch_buckets if b < bucket]
+            smaller = [b for b in state.batch_buckets if b < bucket]
             if not smaller:
                 return [self.run(feeds) for feeds in chunk]
             bucket = smaller[-1]
-            plan = self._batch_plan_or_none(bucket)
+            plan = state.batch_plan_or_none(bucket)
         if n > bucket:
             # Happens when the selected bucket was unbatchable: re-chunk to
             # the bucket that did build.
@@ -604,7 +490,7 @@ class InferenceSession:
             for i in range(0, n, bucket):
                 results.extend(self._run_chunk(chunk[i:i + bucket]))
             return results
-        chunk = [self.plan_state.with_weights(feeds) for feeds in chunk]
+        chunk = [state.with_weights(feeds) for feeds in chunk]
         padded = chunk + [chunk[-1]] * (bucket - n)
         bound = plan.bind_batch(padded)
         arena = self._acquire_arena(bucket)
@@ -732,9 +618,10 @@ class InferenceSession:
     @property
     def requests_per_second(self) -> float:
         """Mean sustained throughput over every request so far."""
-        if self.request_seconds <= 0.0:
+        state = self.arena_state
+        if state.request_seconds <= 0.0:
             return 0.0
-        return self.request_count / self.request_seconds
+        return state.request_count / state.request_seconds
 
     @property
     def mean_batch_occupancy(self) -> float:
@@ -749,14 +636,7 @@ class InferenceSession:
         state = self.arena_state
         with state.lock:
             window = list(state.latencies)
-        if not window:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        arr = np.asarray(window)
-        return {
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-        }
+        return window_percentiles(window)
 
     def profile_report(self):
         """Per-step/per-request timing as an ``ExecutionProfile``."""
@@ -767,8 +647,8 @@ class InferenceSession:
         )
 
         percentiles = self.latency_percentiles()
-        pooled = self.arenas_pooled
         state = self.arena_state
+        pooled = state.pooled()
         with state.lock:
             steps = [
                 StepTiming(
@@ -795,7 +675,7 @@ class InferenceSession:
                 session_name=self.name,
                 requests=state.request_count,
                 total_seconds=state.request_seconds,
-                workspace_bytes=self.workspace_bytes,
+                workspace_bytes=self.plan.workspace_bytes,
                 arenas_allocated=state.arenas_allocated,
                 arenas_trimmed=state.arenas_trimmed,
                 arenas_pooled=pooled,
@@ -814,5 +694,5 @@ class InferenceSession:
     def __repr__(self) -> str:
         return (
             f"<InferenceSession {self.name}: {self.plan.num_steps} steps, "
-            f"{self.request_count} requests served>"
+            f"{self.arena_state.request_count} requests served>"
         )

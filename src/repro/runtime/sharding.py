@@ -52,6 +52,8 @@ from repro.errors import ExecutionError
 from repro.frontends.serialize import graph_from_dict, graph_to_dict
 from repro.graph.graph import Graph
 from repro.graph.lowering import lower_graph
+from repro.runtime.executor import PlanConfig
+from repro.runtime.profiler import window_percentiles
 from repro.runtime.session import (
     DEFAULT_BATCH_BUCKETS,
     DEFAULT_MAX_POOL,
@@ -119,8 +121,7 @@ _POLICIES = {
 class WorkerConfig:
     """Plan/session knobs shipped to every worker (picklable)."""
 
-    optimize: bool = True
-    tile: bool = True
+    config: PlanConfig = PlanConfig()
     batch_buckets: Tuple[int, ...] = DEFAULT_BATCH_BUCKETS
     max_pool: int = DEFAULT_MAX_POOL
     # Profile collection: when on, every worker measures per-step wall
@@ -152,8 +153,8 @@ def _session_stats(session: InferenceSession) -> dict:
     pct = session.latency_percentiles()
     state = session.arena_state
     return {
-        "requests": session.request_count,
-        "request_seconds": session.request_seconds,
+        "requests": state.request_count,
+        "request_seconds": state.request_seconds,
         "p50_us": pct["p50"] * 1e6,
         "p95_us": pct["p95"] * 1e6,
         "p99_us": pct["p99"] * 1e6,
@@ -189,10 +190,7 @@ def _worker_main(
         graph = graph_from_dict(graph_doc)
         program = lower_graph(graph)
         plan_state = PlanState(
-            program,
-            batch_buckets=config.batch_buckets,
-            optimize=config.optimize,
-            tile=config.tile,
+            program, batch_buckets=config.batch_buckets, config=config.config
         )
         weights = store.weights_by_name()
         hoisted = store.hoisted_by_name()
@@ -315,8 +313,7 @@ class ShardedServer:
         policy: str = "least-outstanding",
         max_batch_size: int = 8,
         max_queue_delay_ms: float = 2.0,
-        optimize: bool = True,
-        tile: bool = True,
+        config: PlanConfig = PlanConfig(),
         batch_buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
         max_pool: int = DEFAULT_MAX_POOL,
         request_timeout_s: Optional[float] = 30.0,
@@ -348,8 +345,7 @@ class ShardedServer:
         self.max_outstanding_batches = max_outstanding_batches
         self._graph_doc = graph_to_dict(graph)
         self._config = WorkerConfig(
-            optimize=optimize,
-            tile=tile,
+            config=config,
             batch_buckets=tuple(sorted(set(int(b) for b in batch_buckets))),
             max_pool=max_pool,
             collect_profiles=collect_profiles,
@@ -365,10 +361,7 @@ class ShardedServer:
         # weight bytes).
         program = lower_graph(graph)
         self.plan_state = PlanState(
-            program,
-            batch_buckets=self._config.batch_buckets,
-            optimize=optimize,
-            tile=tile,
+            program, batch_buckets=self._config.batch_buckets, config=config
         )
         self.name = program.name
         self.store = WeightStore.create(
@@ -877,14 +870,7 @@ class ShardedServer:
         """p50/p95/p99 submit->resolve latency (seconds, bounded window)."""
         with self._lock:
             window = list(self._latencies)
-        if not window:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        arr = np.asarray(window)
-        return {
-            "p50": float(np.percentile(arr, 50)),
-            "p95": float(np.percentile(arr, 95)),
-            "p99": float(np.percentile(arr, 99)),
-        }
+        return window_percentiles(window)
 
     def refresh_replica_stats(self, timeout_s: float = 2.0) -> None:
         """Round-trip a stats request to every alive replica."""

@@ -43,7 +43,7 @@ from repro.cache.keys import program_profile_key
 from repro.errors import ExecutionError, PlanningError
 from repro.graph.te_program import TEProgram
 from repro.runtime.cost_model import CostModel
-from repro.runtime.executor import ExecutionPlan
+from repro.runtime.executor import PlanConfig
 from repro.runtime.profile_store import ProfileStore, resolve_profile_store
 from repro.runtime.session import InferenceSession
 
@@ -151,11 +151,8 @@ def collect_profiles(
         feeds = random_feeds(program, seed=seed)
     total = 0
     for tile in (True, False):
-        plan = ExecutionPlan(
-            program, optimize=True, tile=tile, tile_budget=tile_budget,
-        )
         session = InferenceSession(
-            program, plan=plan,
+            program, config=PlanConfig(tile=tile, tile_budget=tile_budget),
             collect_profiles=True, profile_store=store,
         )
         for _ in range(max(1, runs)):
@@ -237,10 +234,9 @@ def tune(
     # this program can execute functionally at all (paper-scale grids
     # exceed the evaluator's point budget and must report, not crash).
     try:
-        static_plan = ExecutionPlan(
-            program, optimize=True, tile_budget=tile_budget
+        static_session = InferenceSession(
+            program, config=PlanConfig(tile_budget=tile_budget)
         )
-        static_session = InferenceSession(program, plan=static_plan)
         static_out = static_session.run(feeds)
     except (ExecutionError, PlanningError) as exc:
         report.runnable = False
@@ -270,11 +266,10 @@ def tune(
         return report
 
     try:
-        tuned_plan = ExecutionPlan(
-            program, optimize=True, tile_budget=tile_budget,
-            cost_model=cost_model,
+        tuned_session = InferenceSession(
+            program,
+            config=PlanConfig(tile_budget=tile_budget, cost_model=cost_model),
         )
-        tuned_session = InferenceSession(program, plan=tuned_plan)
         tuned_out = tuned_session.run(feeds)
     except (ExecutionError, PlanningError) as exc:
         report.reason = f"auto-reject: tuned plan failed to execute ({exc})"
@@ -286,7 +281,9 @@ def tune(
 
     # Gate 1: bit-identity against the static plan and a serial replay of
     # the unoptimized lowering, on the same feeds.
-    serial_session = InferenceSession(program, optimize=False)
+    serial_session = InferenceSession(
+        program, config=PlanConfig(optimize=False)
+    )
     serial_out = serial_session.run(feeds)
     report.bit_identical = (
         _bit_identical(tuned_out, static_out)

@@ -16,10 +16,18 @@ from repro.errors import ExecutionError, PlanningError
 from repro.graph import GraphBuilder, lower_graph
 from repro.models import TINY_MODELS
 from repro.runtime.batching import BatchingServer
-from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
-from repro.runtime.session import InferenceSession
+from repro.runtime.executor import (
+    BatchedExecutionPlan,
+    ExecutionPlan,
+    PlanConfig,
+)
+from repro.runtime.session import InferenceSession, PlanState
 from repro.te.evaluator import Evaluator
 from repro.transform import random_feeds
+
+
+# The plain lowering: the optimizer pass pipeline off.
+PLAIN = PlanConfig(optimize=False)
 
 
 def mlp_program():
@@ -57,8 +65,8 @@ class TestBatchedExecutionPlan:
         to the last bit."""
         program = lower_graph(TINY_MODELS[name]())
         requests = request_feeds(program, 4, seed=7)
-        plan = ExecutionPlan(program)
-        batched = BatchedExecutionPlan(program, batch_size=4)
+        plan = ExecutionPlan(program, config=PLAIN)
+        batched = BatchedExecutionPlan(program, batch_size=4, config=PLAIN)
         singles = [plan.run(feeds) for feeds in requests]
         lanes = batched.run_batch(requests)
         for single, lane in zip(singles, lanes):
@@ -73,40 +81,44 @@ class TestBatchedExecutionPlan:
         distinct = [
             {t: np.array(v) for t, v in feeds.items()} for feeds in shared
         ]
-        batched = BatchedExecutionPlan(program, batch_size=3)
+        batched = BatchedExecutionPlan(program, batch_size=3, config=PLAIN)
         for a, b in zip(batched.run_batch(shared), batched.run_batch(distinct)):
             for x, y in zip(a, b):
                 assert np.array_equal(x, y)
 
     def test_wrong_batch_length_rejected(self):
-        batched = BatchedExecutionPlan(mlp_program(), batch_size=4)
+        batched = BatchedExecutionPlan(
+            mlp_program(), batch_size=4, config=PLAIN
+        )
         with pytest.raises(ExecutionError, match="re-bucket"):
             batched.bind_batch(request_feeds(batched.program, 3))
 
     def test_plain_run_rejected(self):
-        batched = BatchedExecutionPlan(mlp_program(), batch_size=2)
+        batched = BatchedExecutionPlan(
+            mlp_program(), batch_size=2, config=PLAIN
+        )
         with pytest.raises(ExecutionError, match="run_batch"):
             batched.run(request_feeds(batched.program, 1)[0])
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(PlanningError):
-            BatchedExecutionPlan(mlp_program(), batch_size=0)
+            BatchedExecutionPlan(mlp_program(), batch_size=0, config=PLAIN)
 
     def test_counts_toward_plans_built(self):
         program = mlp_program()
         before = ExecutionPlan.plans_built
-        BatchedExecutionPlan(program, batch_size=2)
+        BatchedExecutionPlan(program, batch_size=2, config=PLAIN)
         assert ExecutionPlan.plans_built == before + 1
 
 
 class TestSessionBatching:
     def test_bucket_selection_rounds_up(self):
         session = InferenceSession(mlp_program(), batch_buckets=(2, 4, 8))
-        assert session.select_batch_bucket(2) == 2
-        assert session.select_batch_bucket(3) == 4
-        assert session.select_batch_bucket(8) == 8
+        assert session.plan_state.select_batch_bucket(2) == 2
+        assert session.plan_state.select_batch_bucket(3) == 4
+        assert session.plan_state.select_batch_bucket(8) == 8
         # Oversize batches are chunked, so the largest bucket is returned.
-        assert session.select_batch_bucket(9) == 8
+        assert session.plan_state.select_batch_bucket(9) == 8
 
     def test_invalid_buckets_rejected(self):
         with pytest.raises(ExecutionError):
@@ -123,25 +135,26 @@ class TestSessionBatching:
             for a, b in zip(want, got):
                 assert np.array_equal(a, b)
         # 13 requests chunk to 8 + 5(->bucket 8, padded); both batched.
-        assert session.batches_executed == 2
-        assert session.batched_requests == 13
+        assert session.arena_state.batches_executed == 2
+        assert session.arena_state.batched_requests == 13
 
     def test_single_request_falls_back_to_unbatched(self):
         program = mlp_program()
         session = InferenceSession(program)
         (outputs,) = session.run_batch(request_feeds(program, 1))
         assert outputs[0].shape == program.outputs[0].shape
-        assert session.batches_executed == 0  # never built a batched plan
-        assert not session._batched_plans
+        # Never built a batched plan.
+        assert session.arena_state.batches_executed == 0
+        assert not session.plan_state._batched_plans
 
     def test_batched_plans_cached_per_bucket(self):
         program = mlp_program()
         session = InferenceSession(program)
-        plan_a = session.batch_plan(4)
-        plan_b = session.batch_plan(4)
+        plan_a = session.plan_state.batch_plan(4)
+        plan_b = session.plan_state.batch_plan(4)
         assert plan_a is plan_b
         with pytest.raises(ExecutionError, match="configured batch bucket"):
-            session.batch_plan(3)
+            session.plan_state.batch_plan(3)
 
     def test_occupancy_tracks_padding(self):
         program = mlp_program()
@@ -155,7 +168,7 @@ class TestSessionBatching:
         requests = request_feeds(program, 4, seed=5)
         # Force two concurrent arenas for the same bucket, then release
         # both: the second release must be dropped, not pooled.
-        plan = session.batch_plan(4)
+        plan = session.plan_state.batch_plan(4)
         bound = plan.bind_batch(requests)
         arena_a = session._acquire_arena(4)
         arena_b = session._acquire_arena(4)
@@ -164,8 +177,8 @@ class TestSessionBatching:
         session._release_arena(arena_a, 4)
         session._release_arena(arena_b, 4)
         assert session.arenas_allocated == 2
-        assert session.arenas_pooled == 1
-        assert session.arenas_trimmed == 1
+        assert session.arena_state.pooled() == 1
+        assert session.arena_state.arenas_trimmed == 1
 
     def test_unbatchable_bucket_degrades_to_smaller(self):
         """A bucket whose batched plan cannot build (e.g. paper-scale
@@ -173,45 +186,46 @@ class TestSessionBatching:
         the next usable bucket, re-chunking — never error."""
         program = mlp_program()
         session = InferenceSession(program, batch_buckets=(2, 4, 8))
-        session.unbatchable_buckets.add(8)
+        session.plan_state.unbatchable_buckets.add(8)
         requests = request_feeds(program, 8, seed=21)
         singles = [InferenceSession(program).run(f) for f in requests]
         for want, got in zip(singles, session.run_batch(requests)):
             for a, b in zip(want, got):
                 assert np.array_equal(a, b)
-        assert sorted(session._batched_plans) == [4]  # two bucket-4 batches
-        assert session.batches_executed == 2
-        assert session.batched_requests == 8
+        # Two bucket-4 batches.
+        assert sorted(session.plan_state._batched_plans) == [4]
+        assert session.arena_state.batches_executed == 2
+        assert session.arena_state.batched_requests == 8
 
     def test_all_buckets_unbatchable_falls_back_unbatched(self):
         program = mlp_program()
         session = InferenceSession(program, batch_buckets=(2, 4))
-        session.unbatchable_buckets.update((2, 4))
+        session.plan_state.unbatchable_buckets.update((2, 4))
         requests = request_feeds(program, 4, seed=22)
         singles = [InferenceSession(program).run(f) for f in requests]
         for want, got in zip(singles, session.run_batch(requests)):
             for a, b in zip(want, got):
                 assert np.array_equal(a, b)
-        assert session.batches_executed == 0
-        assert not session._batched_plans
+        assert session.arena_state.batches_executed == 0
+        assert not session.plan_state._batched_plans
 
     def test_build_failure_marks_bucket_unbatchable(self, monkeypatch):
         program = mlp_program()
         session = InferenceSession(program)
 
-        def boom(bucket):
+        def boom(self, bucket):
             raise PlanningError("injected build failure")
 
-        monkeypatch.setattr(session, "batch_plan", boom)
-        assert session._batch_plan_or_none(8) is None
-        assert 8 in session.unbatchable_buckets
+        monkeypatch.setattr(PlanState, "batch_plan", boom)
+        assert session.plan_state.batch_plan_or_none(8) is None
+        assert 8 in session.plan_state.unbatchable_buckets
         monkeypatch.undo()
         # The failure is remembered: no rebuild attempt on the next call.
-        assert session._batch_plan_or_none(8) is None
+        assert session.plan_state.batch_plan_or_none(8) is None
 
     def test_latency_percentiles_ordered(self):
         program = mlp_program()
-        session = InferenceSession(program, latency_window=64)
+        session = InferenceSession(program)
         for feeds in request_feeds(program, 6, seed=9):
             session.run(feeds)
         p = session.latency_percentiles()
@@ -228,6 +242,39 @@ class TestSessionBatching:
         assert report.batching.mean_batch_size == pytest.approx(8.0)
         assert "occupancy" in report.batching.render()
         assert "p50/p95/p99" in report.render()
+
+
+class TestBucketsFollowPlanConfig:
+    """Every batched bucket is built from its unbatched plan's config, so
+    a session's buckets serve the plan the session was asked for."""
+
+    @pytest.mark.parametrize(
+        "config, tiled_chains",
+        [(PlanConfig(tile_budget=1 << 12), 6), (PLAIN, None)],
+        ids=["small-budget", "plain"],
+    )
+    def test_bucket_two_serves_the_session_config(self, config, tiled_chains):
+        program = lower_graph(TINY_MODELS["bert"]())
+        session = InferenceSession(program, config=config)
+        bucket = session.plan_state.batch_plan(2)
+        assert bucket.config == session.plan.config == config
+        if tiled_chains is None:
+            assert session.plan.optimization is None
+            assert bucket.optimization is None
+        else:
+            assert session.plan.optimization.stats.tiled_chains == (
+                tiled_chains
+            )
+            assert bucket.optimization.stats.tiled_chains == tiled_chains
+        requests = request_feeds(program, 2, seed=11)
+        got = session.run_batch(requests)
+        assert session.arena_state.batches_executed == 1
+        for feeds, outputs in zip(requests, got):
+            evaluator = Evaluator(feeds)
+            want = [evaluator.value_of(t) for t in program.outputs]
+            assert [o.tobytes() for o in outputs] == [
+                w.tobytes() for w in want
+            ]
 
 
 class TestBatchingServer:
@@ -268,8 +315,9 @@ class TestBatchingServer:
         assert server.requests_completed == server.requests_submitted
         assert server.requests_completed == workers * per_worker
         # Each pool (unbatched + one per touched bucket) obeys max_pool.
-        max_pools = 1 + len(session.batch_buckets)
-        assert session.arenas_pooled <= session.max_pool * max_pools
+        max_pools = 1 + len(session.plan_state.batch_buckets)
+        state = session.arena_state
+        assert state.pooled() <= state.max_pool * max_pools
 
     def test_stop_drains_queue(self):
         program = mlp_program()

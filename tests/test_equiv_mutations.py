@@ -27,7 +27,7 @@ import pytest
 from repro.graph import GraphBuilder, lower_graph
 from repro.models import TINY_MODELS
 from repro.runtime import tiling
-from repro.runtime.executor import BatchedExecutionPlan
+from repro.runtime.executor import BatchedExecutionPlan, PlanConfig
 from repro.runtime.plan_opt import plan_optimization
 from repro.verify import (
     CertificationReport,
@@ -263,7 +263,9 @@ def batch_model():
 
 class TestBatchBroadcastMutation:
     def test_healthy_plan_proves(self):
-        plan = BatchedExecutionPlan(batch_model(), batch_size=3)
+        plan = BatchedExecutionPlan(
+            batch_model(), batch_size=3, config=PlanConfig(optimize=False)
+        )
         cert = certify_batched_binding(plan)
         assert cert is not None and cert.proved
 

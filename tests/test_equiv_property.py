@@ -66,16 +66,14 @@ def test_every_pass_subset_certifies(name, flags):
 
 @pytest.mark.parametrize("name", sorted(TINY_MODELS))
 def test_unbatched_plan_certifies(name):
-    plan = ExecutionPlan(program_for(name), optimize=True)
+    plan = ExecutionPlan(program_for(name))
     report = certify_plan(plan)
     assert report.all_proved, report.render()
 
 
 @pytest.mark.parametrize("name", sorted(TINY_MODELS))
 def test_batched_plan_certifies(name):
-    plan = BatchedExecutionPlan(
-        program_for(name), batch_size=4, optimize=True
-    )
+    plan = BatchedExecutionPlan(program_for(name), batch_size=4)
     report = certify_plan(plan)
     assert report.all_proved, report.render()
     transforms = {c.transform for c in report}
@@ -84,10 +82,10 @@ def test_batched_plan_certifies(name):
 
 
 def test_certified_plan_construction_succeeds():
-    """``ExecutionPlan(certify=True)`` self-certifies at build time."""
-    plan = ExecutionPlan(program_for("mmoe"), optimize=True, certify=True)
-    assert plan.certification is not None
-    assert plan.certification.all_proved
+    """A freshly built optimized plan certifies clean."""
+    certification = certify_plan(ExecutionPlan(program_for("mmoe")))
+    assert certification is not None
+    assert certification.all_proved
 
 
 # ---- determinism: certificates are byte-stable artifacts ---------------------

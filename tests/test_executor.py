@@ -19,12 +19,17 @@ from repro.runtime.executor import (
     Arena,
     BatchedExecutionPlan,
     ExecutionPlan,
+    PlanConfig,
 )
 from repro.runtime.memory_planner import BufferAssignment, MemoryPlan, plan_memory
 from repro.runtime.session import InferenceSession
 from repro.te import compute, placeholder
 from repro.te.evaluator import Evaluator
 from repro.transform import random_feeds
+
+
+# The plain lowering: the optimizer pass pipeline off.
+PLAIN = PlanConfig(optimize=False)
 
 
 def chain_program(length=4, size=(8, 8)):
@@ -58,7 +63,7 @@ class TestDifferential:
         program = lower_graph(TINY_MODELS[name]())
         feeds = random_feeds(program, seed=3)
         reference = oracle(program, feeds)
-        outputs = ExecutionPlan(program).run(feeds)
+        outputs = ExecutionPlan(program, config=PLAIN).run(feeds)
         assert len(outputs) == len(reference)
         for got, want in zip(outputs, reference):
             assert got.shape == want.shape
@@ -89,19 +94,19 @@ class TestDifferential:
             for feeds in requests
         ]
         configs = (
-            dict(optimize=False),
-            dict(optimize=True, tile=False),
-            dict(optimize=True),
-            dict(optimize=True, tile_block_rows=2),  # tiling forced on
+            PLAIN,
+            PlanConfig(tile=False),
+            PlanConfig(),
+            PlanConfig(tile_block_rows=2),  # tiling forced on
         )
         for config in configs:
-            plan = ExecutionPlan(program, **config)
+            plan = ExecutionPlan(program, config=config)
             for feeds, expected in zip(requests, want):
                 got = [v.tobytes() for v in plan.run(feeds)]
                 assert got == expected, (name, config)
-            lanes = BatchedExecutionPlan(program, 2, **config).run_batch(
-                requests
-            )
+            lanes = BatchedExecutionPlan(
+                program, 2, config=config
+            ).run_batch(requests)
             for lane, expected in zip(lanes, want):
                 got = [v.tobytes() for v in lane]
                 assert got == expected, (name, config, "batched")
@@ -130,14 +135,15 @@ class TestDifferential:
         ]
         program = TEProgram("mixed", [a], nodes, [gated])
         assert np.array_equal(
-            ExecutionPlan(program).run(feeds)[0], oracle(program, feeds)[0]
+            ExecutionPlan(program, config=PLAIN).run(feeds)[0],
+            oracle(program, feeds)[0],
         )
 
 
 class TestArena:
     def test_intermediates_live_in_arena(self):
         program = chain_program()
-        plan = ExecutionPlan(program)
+        plan = ExecutionPlan(program, config=PLAIN)
         arena = plan.new_arena()
         assert arena.buffer.nbytes == plan.workspace_bytes
         for node in program.nodes:
@@ -151,7 +157,7 @@ class TestArena:
     def test_disjoint_intermediates_share_bytes(self):
         """A long chain's arena is much smaller than one buffer per node."""
         program = chain_program(length=8)
-        plan = ExecutionPlan(program)
+        plan = ExecutionPlan(program, config=PLAIN)
         per_tensor = 8 * 8 * EXEC_ITEMSIZE
         naive = 7 * 256 * -(-per_tensor // 256)
         assert plan.workspace_bytes < naive
@@ -161,7 +167,7 @@ class TestArena:
         """No step's output bytes may overlap its operands' bytes."""
         for name in sorted(TINY_MODELS):
             program = lower_graph(TINY_MODELS[name]())
-            plan = ExecutionPlan(program)
+            plan = ExecutionPlan(program, config=PLAIN)
             ranges = {
                 id(t): (a.offset, a.offset + t.num_elements * EXEC_ITEMSIZE)
                 for t, a in plan.memory_plan.assignments.items()
@@ -186,7 +192,7 @@ class TestArena:
         (second,) = session.run(feeds)
         assert first is not second
         assert not np.shares_memory(first, second)
-        arena = session._free_arenas[0]
+        arena = session.arena_state._free_arenas[0]
         assert not np.shares_memory(first, arena.buffer)
 
 
@@ -212,7 +218,7 @@ class TestLayoutValidation:
             )
             bad.workspace_bytes = max(bad.workspace_bytes, a.nbytes)
         with pytest.raises(PlanningError):
-            ExecutionPlan(program, memory_plan=bad)
+            ExecutionPlan(program, memory_plan=bad, config=PLAIN)
 
     def test_inplace_operand_aliasing_rejected(self):
         """A chain layout that is legal for GPU kernels (in-place reuse of a
@@ -226,13 +232,13 @@ class TestLayoutValidation:
         )
         assert inplace.workspace_bytes > 0
         with pytest.raises(PlanningError):
-            ExecutionPlan(program, memory_plan=inplace)
+            ExecutionPlan(program, memory_plan=inplace, config=PLAIN)
 
     def test_missing_assignment_rejected(self):
         program = chain_program(length=3)
         empty = MemoryPlan(exclusive_writes=True)
         with pytest.raises(PlanningError):
-            ExecutionPlan(program, memory_plan=empty)
+            ExecutionPlan(program, memory_plan=empty, config=PLAIN)
 
 
 class TestSession:
@@ -243,8 +249,11 @@ class TestSession:
         for _ in range(32):
             session.run(feeds)
         assert session.arenas_allocated == 1
-        assert session.request_count == 32
-        assert session.workspace_bytes == session.plan.workspace_bytes
+        assert session.arena_state.request_count == 32
+        assert (
+            session.profile_report().workspace_bytes
+            == session.plan.workspace_bytes
+        )
 
     def test_concurrent_requests_are_correct(self):
         program = mlp_program()
@@ -267,7 +276,7 @@ class TestSession:
         for t in threads:
             t.join()
         assert not failures
-        assert session.request_count == 32
+        assert session.arena_state.request_count == 32
         # The pool never exceeds the worst-case concurrency.
         assert 1 <= session.arenas_allocated <= 4
 
@@ -311,7 +320,7 @@ class TestSession:
         program = mlp_program()
         session = InferenceSession(program)
         session.run(random_feeds(program, seed=0))
-        assert session.last_latency_s > 0
+        assert session.arena_state.last_latency_s > 0
         assert session.requests_per_second > 0
         report = session.profile_report()
         assert "per-step timing disabled" in report.render()

@@ -14,6 +14,7 @@ import pytest
 from repro import CompileCache, SouffleCompiler, SouffleOptions
 from repro.core.parallel import WorkerPool, default_worker_count
 from repro.models import TINY_MODELS
+from repro.runtime.executor import PlanConfig
 
 
 def fingerprint(module):
@@ -161,3 +162,22 @@ class TestWorkerPool:
         pool = WorkerPool(None)
         assert pool._resolve_workers(100) == min(100, default_worker_count())
         assert pool._resolve_workers(0) == 1
+
+    @pytest.mark.parametrize("name", ("bert", "mmoe"))
+    def test_cold_and_warm_sessions_serve_one_plan(self, name, tmp_path):
+        """A warm module-cache hit serves the plan a cold compile serves:
+        the default plan config and byte-identical outputs."""
+        graph = TINY_MODELS[name]()
+        cold = compile_once(graph, cache=str(tmp_path / "c"))
+        warm = compile_once(graph, cache=str(tmp_path / "c"))
+        assert warm.stats.module_cache_hit
+        assert cold.session.plan.config == PlanConfig()
+        assert warm.session.plan.config == cold.session.plan.config
+        rng = np.random.default_rng(11)
+        feeds = {
+            t.name: rng.standard_normal(t.shape) * 0.1
+            for t in cold.program.inputs
+        }
+        assert [o.tobytes() for o in warm.run_by_name(feeds)] == [
+            o.tobytes() for o in cold.run_by_name(feeds)
+        ]

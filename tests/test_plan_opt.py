@@ -15,13 +15,20 @@ from hypothesis import strategies as st
 
 from repro.graph import GraphBuilder, lower_graph
 from repro.models import TINY_MODELS
-from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
+from repro.runtime.executor import (
+    BatchedExecutionPlan,
+    ExecutionPlan,
+    PlanConfig,
+)
 from repro.runtime.plan_opt import optimize_plan, plan_optimization
 from repro.runtime.session import InferenceSession
 from repro.transform import random_feeds
 from repro.verify import verify_plan
 
 from tests.test_verify_property import random_graphs
+
+# The plain lowering: the optimizer pass pipeline off.
+PLAIN = PlanConfig(optimize=False)
 
 
 def request_feeds(program, count, seed):
@@ -36,8 +43,8 @@ class TestBitIdentity:
     def test_optimized_matches_unoptimized(self, name):
         program = lower_graph(TINY_MODELS[name]())
         feeds = random_feeds(program, seed=5)
-        baseline = ExecutionPlan(program, optimize=False).run(feeds)
-        optimized = ExecutionPlan(program, optimize=True).run(feeds)
+        baseline = ExecutionPlan(program, config=PLAIN).run(feeds)
+        optimized = ExecutionPlan(program).run(feeds)
         assert len(optimized) == len(baseline)
         for got, want in zip(optimized, baseline):
             assert got.shape == want.shape
@@ -48,10 +55,10 @@ class TestBitIdentity:
         program = lower_graph(TINY_MODELS[name]())
         requests = request_feeds(program, 8, seed=9)
         baseline = BatchedExecutionPlan(
-            program, batch_size=8, optimize=False
+            program, batch_size=8, config=PLAIN
         ).run_batch(requests)
         optimized = BatchedExecutionPlan(
-            program, batch_size=8, optimize=True
+            program, batch_size=8
         ).run_batch(requests)
         for lane_base, lane_opt in zip(baseline, optimized):
             for want, got in zip(lane_base, lane_opt):
@@ -62,10 +69,10 @@ class TestBitIdentity:
         """Elision makes steps overwrite their inputs; a second replay of
         the same arena must still be exact (no state leaks)."""
         program = lower_graph(TINY_MODELS[name]())
-        plan = ExecutionPlan(program, optimize=True)
+        plan = ExecutionPlan(program)
         feeds_a = random_feeds(program, seed=1)
         feeds_b = random_feeds(program, seed=2)
-        want_a = ExecutionPlan(program, optimize=False).run(feeds_a)
+        want_a = ExecutionPlan(program, config=PLAIN).run(feeds_a)
         plan.run(feeds_b)  # dirty the arena
         got_a = plan.run(feeds_a)
         for got, want in zip(got_a, want_a):
@@ -95,8 +102,8 @@ def test_every_pass_subset_is_clean_and_exact(graph, flags):
     assert not report.errors, report.render()
 
     feeds = random_feeds(program, seed=13)
-    want = ExecutionPlan(program, optimize=False).run(feeds)
-    plan = ExecutionPlan(program, optimize=False)
+    want = ExecutionPlan(program, config=PLAIN).run(feeds)
+    plan = ExecutionPlan(program, config=PLAIN)
     optimize_plan(plan, opt=plan_optimization(program, **flags))
     got = plan.run(feeds)
     for g, w in zip(got, want):
@@ -129,10 +136,10 @@ class TestHoisting:
 
     def test_hoist_cache_hits_on_same_weight_objects(self):
         program = hoistable_program()
-        plan = ExecutionPlan(program, optimize=True)
+        plan = ExecutionPlan(program)
         assert plan._hoist_steps, "expected a hoisted prologue"
         feeds = random_feeds(program, seed=0)
-        want = ExecutionPlan(program, optimize=False).run(feeds)
+        want = ExecutionPlan(program, config=PLAIN).run(feeds)
 
         got = plan.run(feeds)
         assert plan.hoist_evaluations == 1
@@ -163,7 +170,7 @@ class TestHoisting:
 
     def test_batched_plan_hoists_too(self):
         program = hoistable_program()
-        plan = BatchedExecutionPlan(program, batch_size=3, optimize=True)
+        plan = BatchedExecutionPlan(program, batch_size=3)
         requests = request_feeds(program, 3, seed=4)
         # Weights are normally shared across lanes; share them here.
         shared = requests[0]
@@ -173,7 +180,7 @@ class TestHoisting:
             for feeds in requests
         ]
         want = BatchedExecutionPlan(
-            program, batch_size=3, optimize=False
+            program, batch_size=3, config=PLAIN
         ).run_batch(requests)
         got = plan.run_batch(requests)
         assert plan.hoist_evaluations == 1
@@ -225,7 +232,7 @@ class TestFusion:
 
     def test_fused_step_names_join_members(self):
         program = map_chain_program()
-        plan = ExecutionPlan(program, optimize=True)
+        plan = ExecutionPlan(program)
         fused = [s for s in plan.steps if s.kind == "fused"]
         assert fused and all("+" in s.name for s in fused)
 
@@ -270,8 +277,8 @@ class TestElision:
     def test_elided_plan_is_exact(self):
         program = elidable_program()
         feeds = random_feeds(program, seed=2)
-        want = ExecutionPlan(program, optimize=False).run(feeds)
-        got = ExecutionPlan(program, optimize=True).run(feeds)
+        want = ExecutionPlan(program, config=PLAIN).run(feeds)
+        got = ExecutionPlan(program).run(feeds)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -329,7 +336,7 @@ def record_order(plan):
 class TestReplayOrder:
     def test_steps_keep_program_order(self):
         program = wide_branchy_program()
-        plan = ExecutionPlan(program, optimize=True)
+        plan = ExecutionPlan(program)
         assert [s.index for s in plan.steps] == list(range(len(plan.steps)))
         positions = [g.terminal.index for g in plan.optimization.groups]
         assert positions == sorted(positions)
@@ -370,7 +377,7 @@ class TestReplayOrder:
 class TestStats:
     def test_stats_accounting(self):
         program = lower_graph(TINY_MODELS["bert"]())
-        plan = ExecutionPlan(program, optimize=True)
+        plan = ExecutionPlan(program)
         stats = plan.optimization.stats
         assert stats.steps_before == len(program.nodes)
         assert stats.steps_after == len(plan.steps)
@@ -384,5 +391,5 @@ class TestStats:
 
     def test_repr_tags_optimized_plans(self):
         program = map_chain_program()
-        assert "optimized" in repr(ExecutionPlan(program, optimize=True))
-        assert "optimized" not in repr(ExecutionPlan(program, optimize=False))
+        assert "optimized" in repr(ExecutionPlan(program))
+        assert "optimized" not in repr(ExecutionPlan(program, config=PLAIN))

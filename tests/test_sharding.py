@@ -24,7 +24,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.graph import GraphBuilder, lower_graph
-from repro.runtime.executor import ExecutionPlan
+from repro.runtime.executor import ExecutionPlan, PlanConfig
 from repro.runtime.session import InferenceSession, PlanState
 from repro.runtime.sharding import (
     ShardedServer,
@@ -33,6 +33,10 @@ from repro.runtime.sharding import (
 )
 from repro.runtime.weight_store import WeightStore, weight_store_key
 from repro.transform import random_feeds
+
+
+# The plain lowering: the optimizer pass pipeline off.
+PLAIN = PlanConfig(optimize=False)
 
 
 def mlp_graph():
@@ -110,7 +114,7 @@ class TestDispatchPolicies:
 class TestWeightStore:
     def test_views_bind_zero_copy(self):
         program = lower_graph(mlp_graph())
-        plan = ExecutionPlan(program)
+        plan = ExecutionPlan(program, config=PLAIN)
         _, weights = split_feeds(program)
         store = WeightStore.create(program, plan, weights)
         try:
@@ -187,7 +191,7 @@ class TestWeightStore:
 
     def test_key_tracks_weight_bytes(self):
         program = lower_graph(mlp_graph())
-        plan = ExecutionPlan(program)
+        plan = ExecutionPlan(program, config=PLAIN)
         boundary = plan.hoist_boundary
         _, weights = split_feeds(program)
         key = weight_store_key(program, weights, boundary)
@@ -212,7 +216,7 @@ class TestPlanState:
             a.run_by_name({lead.name: r[lead.name]})
             b.run_by_name({lead.name: r[lead.name]})
         # Batched plans are built once and shared...
-        assert a._batched_plans is b._batched_plans
+        assert a.plan_state._batched_plans is b.plan_state._batched_plans
         # ...but each session pools its own arenas.
         assert a.arenas_allocated >= 1 and b.arenas_allocated >= 1
         assert a.arena_state is not b.arena_state
@@ -243,8 +247,7 @@ class TestPlanState:
         # Same bytes, different array objects — the identity-keyed FIFO
         # misses, the content digest hits.
         copies = {k: np.array(v) for k, v in weights.items()}
-        state2 = PlanState(program, plan=state.plan)
-        state2.bind_weights(copies)
+        state.bind_weights(copies)
         assert state.plan.hoist_evaluations == 1
         assert state.plan.hoist_content_hits >= 1
 
@@ -273,7 +276,7 @@ class TestArenaAccounting:
             t.join()
         report = session.profile_report()
         assert report.pool_high_water >= 1
-        assert report.arenas_trimmed == session.arenas_trimmed
+        assert report.arenas_trimmed == session.arena_state.arenas_trimmed
         if session.arenas_allocated > 1:
             # max_pool=1: every extra arena must have been trimmed.
             assert report.arenas_trimmed >= session.arenas_allocated - 1

@@ -24,7 +24,11 @@ from repro.errors import PlanningError
 from repro.graph import lower_graph
 from repro.models import TINY_MODELS
 from repro.runtime import tiling
-from repro.runtime.executor import BatchedExecutionPlan, ExecutionPlan
+from repro.runtime.executor import (
+    BatchedExecutionPlan,
+    ExecutionPlan,
+    PlanConfig,
+)
 from repro.runtime.plan_opt import plan_optimization
 from repro.runtime.tiling import (
     ScratchPool,
@@ -37,6 +41,10 @@ from repro.verify import Severity, verify_plan
 # Models whose lowerings contain tileable map->reduce->map chains (softmax
 # and layernorm); the other four models must pass through unchanged.
 CHAIN_MODELS = ("bert", "swin")
+
+# The optimized plan with tiling off, and with two-row blocks forced on.
+UNTILED = PlanConfig(tile=False)
+BLOCKS_OF_2 = PlanConfig(tile_block_rows=2)
 
 
 def program_for(name):
@@ -60,9 +68,9 @@ class TestBitIdentity:
     def test_any_block_size_matches_untiled(self, name, block_rows):
         program = program_for(name)
         feeds = random_feeds(program, seed=13)
-        want = ExecutionPlan(program, optimize=True, tile=False).run(feeds)
+        want = ExecutionPlan(program, config=UNTILED).run(feeds)
         plan = ExecutionPlan(
-            program, optimize=True, tile_block_rows=block_rows
+            program, config=PlanConfig(tile_block_rows=block_rows)
         )
         assert_outputs_equal(
             plan.run(feeds), want, f"{name} blk={block_rows}"
@@ -75,11 +83,11 @@ class TestBitIdentity:
         program = program_for(name)
         requests = [random_feeds(program, seed=17 + i) for i in range(4)]
         want = BatchedExecutionPlan(
-            program, batch_size=4, optimize=True, tile=False
+            program, batch_size=4, config=UNTILED
         ).run_batch(requests)
         got = BatchedExecutionPlan(
-            program, batch_size=4, optimize=True,
-            tile_block_rows=block_rows,
+            program, batch_size=4,
+            config=PlanConfig(tile_block_rows=block_rows),
         ).run_batch(requests)
         for lane_want, lane_got in zip(want, got):
             assert_outputs_equal(
@@ -90,7 +98,7 @@ class TestBitIdentity:
     def test_replay_is_stable(self, name):
         """Scratch reuse across requests must not leak state."""
         program = program_for(name)
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=2)
+        plan = ExecutionPlan(program, config=BLOCKS_OF_2)
         feeds = random_feeds(program, seed=23)
         first = plan.run(feeds)
         for _ in range(3):
@@ -104,7 +112,7 @@ class TestDetection:
     def test_chain_models_tile(self):
         for name in CHAIN_MODELS:
             plan = ExecutionPlan(
-                program_for(name), optimize=True, tile_block_rows=1
+                program_for(name), config=PlanConfig(tile_block_rows=1)
             )
             chains = plan.optimization.tiled_chains
             assert chains, name
@@ -121,8 +129,7 @@ class TestDetection:
 
     def test_tile_off_disables_the_pass(self):
         for name in CHAIN_MODELS:
-            plan = ExecutionPlan(program_for(name), optimize=True,
-                                 tile=False)
+            plan = ExecutionPlan(program_for(name), config=UNTILED)
             assert plan.optimization.tiled_chains == []
             assert plan.optimization.stats.tiled_chains == 0
 
@@ -130,7 +137,7 @@ class TestDetection:
         """Tiny working sets sit far under the default budget: the
         footprint model must reject tiling as pure overhead."""
         for name in sorted(TINY_MODELS):
-            plan = ExecutionPlan(program_for(name), optimize=True)
+            plan = ExecutionPlan(program_for(name))
             assert plan.optimization.tiled_chains == [], name
 
     def test_small_budget_forces_auto_tiling(self):
@@ -139,14 +146,13 @@ class TestDetection:
         assert opt.stats.tiled_chains > 0
         assert opt.stats.scratch_bytes > 0
         feeds = random_feeds(program, seed=3)
-        want = ExecutionPlan(program, optimize=True, tile=False).run(feeds)
-        plan = ExecutionPlan(program, optimize=True, tile_budget=512)
+        want = ExecutionPlan(program, config=UNTILED).run(feeds)
+        plan = ExecutionPlan(program, config=PlanConfig(tile_budget=512))
         assert plan.optimization.tiled_chains
         assert_outputs_equal(plan.run(feeds), want, "bert budget=512")
 
     def test_tiled_groups_carry_block_names(self):
-        plan = ExecutionPlan(program_for("bert"), optimize=True,
-                             tile_block_rows=2)
+        plan = ExecutionPlan(program_for("bert"), config=BLOCKS_OF_2)
         tiled = [g for g in plan.optimization.groups
                  if isinstance(g, TiledStepGroup)]
         assert tiled
@@ -158,8 +164,7 @@ class TestDetection:
         assert positions == list(range(len(positions)))
 
     def test_stats_report_tiling(self):
-        plan = ExecutionPlan(program_for("bert"), optimize=True,
-                             tile_block_rows=2)
+        plan = ExecutionPlan(program_for("bert"), config=BLOCKS_OF_2)
         stats = plan.optimization.stats
         assert stats.tiled_chains == 4
         assert stats.tiled_blocks == sum(
@@ -167,8 +172,9 @@ class TestDetection:
         )
         assert "chains tiled" in stats.summary()
         assert "tiled chains:" in stats.render()
-        untiled = ExecutionPlan(program_for("bert"), optimize=True,
-                                tile=False).optimization.stats
+        untiled = ExecutionPlan(
+            program_for("bert"), config=UNTILED
+        ).optimization.stats
         assert "chains tiled" not in untiled.summary()
 
 
@@ -184,8 +190,7 @@ class TestWrongBlockBoundary:
 
         monkeypatch.setattr(tiling, "_block_ranges", gapped)
         with pytest.raises(PlanningError, match="partition|cover"):
-            ExecutionPlan(program_for("bert"), optimize=True,
-                          tile_block_rows=2)
+            ExecutionPlan(program_for("bert"), config=BLOCKS_OF_2)
 
     def test_partition_validator_rejects_overlap(self, monkeypatch):
         real = tiling._block_ranges
@@ -198,8 +203,7 @@ class TestWrongBlockBoundary:
 
         monkeypatch.setattr(tiling, "_block_ranges", overlapped)
         with pytest.raises(PlanningError, match="partition"):
-            ExecutionPlan(program_for("bert"), optimize=True,
-                          tile_block_rows=2)
+            ExecutionPlan(program_for("bert"), config=BLOCKS_OF_2)
 
     def test_oracle_catches_gap_when_validation_bypassed(self, monkeypatch):
         """Defence in depth: with the validator stubbed out, the seeded
@@ -207,7 +211,7 @@ class TestWrongBlockBoundary:
         oracle must observe the mismatch."""
         program = program_for("bert")
         feeds = random_feeds(program, seed=29)
-        want = ExecutionPlan(program, optimize=True, tile=False).run(feeds)
+        want = ExecutionPlan(program, config=UNTILED).run(feeds)
 
         real = tiling._block_ranges
 
@@ -217,7 +221,7 @@ class TestWrongBlockBoundary:
         monkeypatch.setattr(tiling, "_block_ranges", gapped)
         monkeypatch.setattr(tiling, "validate_partition",
                             lambda rows, ranges: None)
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=2)
+        plan = ExecutionPlan(program, config=BLOCKS_OF_2)
         assert plan.optimization.tiled_chains  # the mutant did tile
         got = plan.run(feeds)
         assert any(
@@ -230,8 +234,7 @@ class TestWrongBlockBoundary:
 
 class TestScratchAliasing:
     def build(self):
-        plan = ExecutionPlan(program_for("bert"), optimize=True,
-                             tile_block_rows=2)
+        plan = ExecutionPlan(program_for("bert"), config=BLOCKS_OF_2)
         opt = plan.optimization
         assert opt.memory_plan.scratch_chains
         return plan, opt
@@ -295,8 +298,7 @@ class TestProfiler:
         from repro.runtime.session import InferenceSession
 
         program = program_for("bert")
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=2)
-        session = InferenceSession(program, plan=plan, profile=True)
+        session = InferenceSession(program, config=BLOCKS_OF_2, profile=True)
         feeds = random_feeds(program, seed=37)
         for _ in range(2):
             session.run(feeds)
@@ -328,7 +330,7 @@ class TestScratchPool:
 
     def test_steady_state_serving_allocates_nothing_new(self):
         program = program_for("bert")
-        plan = ExecutionPlan(program, optimize=True, tile_block_rows=2)
+        plan = ExecutionPlan(program, config=BLOCKS_OF_2)
         feeds = random_feeds(program, seed=41)
         plan.run(feeds)
         # One request runs its blocks in turn: a single buffer serves all.

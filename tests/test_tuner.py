@@ -16,7 +16,7 @@ from repro.graph import GraphBuilder, lower_graph
 from repro.models import TINY_MODELS
 from repro.runtime import tuner
 from repro.runtime.cost_model import CostModel
-from repro.runtime.executor import ExecutionPlan
+from repro.runtime.executor import ExecutionPlan, PlanConfig
 from repro.runtime.profile_store import ProfileStore
 from repro.runtime.session import InferenceSession
 from repro.runtime.tuner import TuneReport, collect_profiles, tune
@@ -88,18 +88,18 @@ class TestEmptyStoreIsStatic:
 
     def test_empty_model_plans_bit_for_bit_static(self, mmoe):
         """optimize_plan nulls a measurement-free model before any pass."""
-        static = ExecutionPlan(mmoe, optimize=True)
-        tuned = ExecutionPlan(mmoe, optimize=True, cost_model=CostModel({}))
-        s, t = static.optimization.stats, tuned.optimization.stats
+        static = InferenceSession(mmoe)
+        tuned = InferenceSession(
+            mmoe, config=PlanConfig(cost_model=CostModel({}))
+        )
+        s = static.plan.optimization.stats
+        t = tuned.plan.optimization.stats
         assert not t.tuned
         assert (s.steps_after, s.fused_steps, s.workspace_after) == (
             t.steps_after, t.fused_steps, t.workspace_after
         )
         feeds = random_feeds(mmoe, seed=0)
-        for a, b in zip(
-            InferenceSession(mmoe, plan=static).run(feeds),
-            InferenceSession(mmoe, plan=tuned).run(feeds),
-        ):
+        for a, b in zip(static.run(feeds), tuned.run(feeds)):
             assert np.array_equal(a, b)
 
 
@@ -152,7 +152,7 @@ class TestGates:
         def boom(*args, **kwargs):
             raise PlanningError("injected")
 
-        monkeypatch.setattr(tuner, "ExecutionPlan", boom)
+        monkeypatch.setattr(tuner, "InferenceSession", boom)
         report = tune(mmoe, name="mmoe", store=False, reps=1)
         assert not report.runnable and not report.adopted
         assert "not functionally executable" in report.reason
@@ -175,9 +175,9 @@ class TestDurableIdentity:
         assert program_profile_key(a) == program_profile_key(b)
 
     def test_step_keys_survive_renames(self):
-        a = ExecutionPlan(self._mlp(("x", "w", "act")), optimize=True)
+        a = ExecutionPlan(self._mlp(("x", "w", "act")))
         b = ExecutionPlan(
-            self._mlp(("input_ids", "dense_kernel", "hidden")), optimize=True
+            self._mlp(("input_ids", "dense_kernel", "hidden"))
         )
         keys_a = [s.step_key for s in a.steps]
         keys_b = [s.step_key for s in b.steps]

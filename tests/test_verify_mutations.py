@@ -11,7 +11,7 @@ from repro.errors import PlanningError, VerificationError
 from repro.gpu.device import a100_40gb
 from repro.gpu.kernel import KernelSpec
 from repro.graph import GraphBuilder, lower_graph
-from repro.runtime.executor import EXEC_ITEMSIZE, ExecutionPlan
+from repro.runtime.executor import EXEC_ITEMSIZE, ExecutionPlan, PlanConfig
 from repro.runtime.memory_planner import (
     BufferAssignment,
     MemoryPlan,
@@ -175,7 +175,10 @@ class TestArenaHazardMutation:
             exclusive_writes=False,
         )
         with pytest.raises(PlanningError, match="arena-hazard"):
-            ExecutionPlan(program, memory_plan=inplace)
+            ExecutionPlan(
+                program, memory_plan=inplace,
+                config=PlanConfig(optimize=False),
+            )
 
 
 class TestSyncSafetyMutation:
