@@ -474,6 +474,7 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
             else ExecutionPlan(program, config=config)
         )
         optimization = plan.optimization
+        reads = plan.read_lowering
     else:
         # Paper-scale grids exceed the functional executor's limits; the
         # static planner still reports hoisting/fusion/elision/tiling and
@@ -482,9 +483,21 @@ def cmd_plan_stats(args: argparse.Namespace) -> int:
         program = lower_graph(graph)
         optimization = plan_optimization(program, batch_size=batch,
                                          tile=args.tile)
+        reads = None
     suffix = f" (batch {batch})" if batch is not None else ""
     print(f"plan optimizer: {graph.name}{suffix}")
     print(optimization.stats.render())
+    if reads is not None:
+        from repro.runtime.executor import READ_LOWERINGS
+
+        generic = ", ".join(
+            f"{reads.get(k, 0)} {k.replace('_', ' ')}"
+            for k in READ_LOWERINGS[1:]
+        )
+        print(
+            f"tensor reads/request: {reads.get('row', 0)}/"
+            f"{sum(reads.values())} row-gathered (generic: {generic})"
+        )
     if args.replicas > 0:
         from repro.runtime.executor import EXEC_ITEMSIZE
 

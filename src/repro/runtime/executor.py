@@ -12,9 +12,11 @@ into a topologically-ordered list of specialized step closures:
   contraction string resolved at plan time;
 * elementwise/reduction TEs have their bodies compiled bottom-up — binop,
   comparison and intrinsic dispatch resolved to concrete numpy callables,
-  tensor reads resolved to identity views or precomputed integer gather
-  maps, and every data-independent subexpression (index math, constant
-  grids) folded into a plan-time constant array;
+  tensor reads resolved to identity views, contiguous-row ``np.take``
+  gathers with a plan-time row index (:func:`plan_row_gather`) or, where
+  that index would outgrow the tensor or an index is out of range, the
+  generic multi-array gather, and every data-independent subexpression
+  (index math, constant grids) folded into a plan-time constant array;
 * each step writes its result directly into a preallocated **arena** view
   laid out by the global :class:`~repro.runtime.memory_planner.MemoryPlan`
   (``exclusive_writes`` packing, float64 sizing), so non-overlapping
@@ -23,18 +25,19 @@ into a topologically-ordered list of specialized step closures:
 
 Executing a request is then a flat loop over the steps. Results are
 bit-identical to the :class:`Evaluator` (which remains the differential-
-testing oracle): both paths run the same numpy kernels in the same order on
-the same float64 operands.
+testing oracle): both paths run the same numpy arithmetic kernels in the
+same order on the same float64 operands, and a row gather moves exactly
+the bytes the Evaluator's fancy-index gather does, in the same layout.
 
 :class:`BatchedExecutionPlan` extends the same lowering with a leading
 batch axis so B concurrent requests replay the step list *once*: einsum
 contractions gain an ellipsis batch dimension (contraction path precomputed
 for the batched shapes), elementwise/gather closures broadcast their
-plan-time index grids over the batch, and the arena is sized for B lanes
-per intermediate. Lane ``i`` of a batched replay is bit-identical to an
-unbatched replay of request ``i`` — numpy's einsum and ufunc loops are
-batch-independent per output element — which the differential tests pin
-down across every paper model.
+plan-time index grids over the batch (row gathers take along axis 1),
+and the arena is sized for B lanes per intermediate. Lane ``i`` of a
+batched replay is bit-identical to an unbatched replay of request ``i`` —
+numpy's einsum and ufunc loops are batch-independent per output element —
+which the differential tests pin down across every paper model.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ from time import perf_counter
 
 import numpy as np
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.analysis.characterize import step_cost_features
 from repro.errors import ExecutionError, PlanningError
@@ -67,6 +72,7 @@ from repro.te.expr import (
 )
 from repro.te.patterns import contraction_path, match_matmul
 from repro.te.tensor import Tensor
+from repro.te.traversal import free_vars
 
 # The executor computes in float64 (like the Evaluator); arena buffers are
 # sized for that representation, not the tensor's declared storage dtype.
@@ -122,10 +128,13 @@ class PlanStep:
     used to join profile rows across recompiles — unlike ``name`` it survives
     renames, fusion regrouping, and re-tiling. ``cost_features`` carries the
     static (bytes, flops) pair for the cost model's fitted fallback.
+    ``reads`` counts how the step's non-identity tensor reads were lowered,
+    keyed by :data:`READ_LOWERINGS` (row gathers and generic gathers by
+    reason; ``repro plan-stats`` prints the totals).
     """
 
     __slots__ = ("index", "name", "kind", "key", "run", "value_fn",
-                 "step_key", "cost_features", "block_rows")
+                 "step_key", "cost_features", "block_rows", "reads")
 
     def __init__(
         self,
@@ -138,6 +147,7 @@ class PlanStep:
         step_key: str = "",
         cost_features: Tuple[int, int] = (0, 0),
         block_rows: int = 0,
+        reads: Optional[Dict[str, int]] = None,
     ) -> None:
         self.index = index
         self.name = name
@@ -150,6 +160,7 @@ class PlanStep:
         # Tiled block steps record the chain's block size here so profile
         # rows can keep per-block-size variants apart.
         self.block_rows = block_rows
+        self.reads = {} if reads is None else reads
 
     def __repr__(self) -> str:
         return f"<PlanStep#{self.index} {self.name} [{self.kind}]>"
@@ -210,6 +221,7 @@ def _compile_expr(
     env: Mapping[str, np.ndarray],
     axes: Sequence[IterVar],
     batched: bool = False,
+    tally: Optional[Dict[str, int]] = None,
 ) -> _Compiled:
     """Compile one expression bottom-up.
 
@@ -220,6 +232,8 @@ def _compile_expr(
     With ``batched`` every tensor value in ``values`` carries a leading
     batch axis; plan-time constants stay unbatched (they broadcast against
     the batch like any leading axis) and only tensor reads change shape.
+    ``tally`` (if given) counts how each non-identity read was lowered,
+    keyed by :data:`READ_LOWERINGS`.
     """
     if isinstance(expr, Const):
         return np.asarray(expr.value, dtype=EXEC_DTYPE), None
@@ -231,8 +245,8 @@ def _compile_expr(
     if isinstance(expr, (BinOp, Cmp)):
         table = _BINOP_FN if isinstance(expr, BinOp) else _CMP_FN
         fn = table[expr.op]
-        lc, lf = _compile_expr(expr.lhs, env, axes, batched)
-        rc, rf = _compile_expr(expr.rhs, env, axes, batched)
+        lc, lf = _compile_expr(expr.lhs, env, axes, batched, tally)
+        rc, rf = _compile_expr(expr.rhs, env, axes, batched, tally)
         if lf is None and rf is None:
             return fn(lc, rc), None
         if lf is None:
@@ -242,7 +256,9 @@ def _compile_expr(
         return None, lambda v, fn=fn, lf=lf, rf=rf: fn(lf(v), rf(v))
     if isinstance(expr, Call):
         fn = _CALL_FN[expr.func]
-        parts = [_compile_expr(a, env, axes, batched) for a in expr.args]
+        parts = [
+            _compile_expr(a, env, axes, batched, tally) for a in expr.args
+        ]
         if all(f is None for _, f in parts):
             return fn(*[c for c, _ in parts]), None
         if len(parts) == 1:
@@ -254,7 +270,7 @@ def _compile_expr(
         return None, lambda v, fn=fn, thunks=thunks: fn(*[t(v) for t in thunks])
     if isinstance(expr, IfThenElse):
         parts = [
-            _compile_expr(e, env, axes, batched)
+            _compile_expr(e, env, axes, batched, tally)
             for e in (expr.cond, expr.then_value, expr.else_value)
         ]
         if all(f is None for _, f in parts):
@@ -267,7 +283,7 @@ def _compile_expr(
             thunks[0](v), thunks[1](v), thunks[2](v)
         )
     if isinstance(expr, TensorRead):
-        return _compile_read(expr, env, axes, batched)
+        return _compile_read(expr, env, axes, batched, tally)
     if isinstance(expr, Reduce):
         # Nested reductions are normalised away during lowering; only a
         # top-level Reduce exists and the step builder peels it off.
@@ -275,24 +291,162 @@ def _compile_expr(
     raise ExecutionError(f"cannot compile node {type(expr).__name__}")
 
 
+# How a non-identity tensor read replays: a contiguous-row take, or the
+# generic fancy-index gather for one of three reasons (PlanStep.reads).
+READ_LOWERINGS = ("row", "index_too_large", "out_of_range", "data_dependent")
+
+
+def merge_read_counts(counts: Iterable[Mapping[str, int]]) -> Dict[str, int]:
+    """Sum per-step read-lowering counts (``PlanStep.reads``)."""
+    total: Dict[str, int] = {}
+    for c in counts:
+        for lowering, n in c.items():
+            total[lowering] = total.get(lowering, 0) + n
+    return total
+
+
+@dataclass(frozen=True)
+class RowGather:
+    """A static read lowered to ``take(base_rows, rows, axis=0)``.
+
+    ``rows`` holds one flat index per output element of the *lead* dims
+    (``ravel_multi_index`` of their plan-time index grids); every row is
+    ``row_shape`` contiguous elements of the (possibly transposed) base.
+    ``perm`` is the transpose that brings the row dims last, or None when
+    they already are the tensor's trailing dims in order.
+    """
+
+    rows: np.ndarray
+    row_shape: Tuple[int, ...]
+    lead_size: int
+    perm: Optional[Tuple[int, ...]]
+
+
+def plan_row_gather(
+    read: TensorRead,
+    grids: Sequence[np.ndarray],
+    axes: Sequence[IterVar],
+    batched: bool = False,
+) -> Tuple[Optional[RowGather], Optional[str]]:
+    """Lower a static read to a :class:`RowGather`, or say why not.
+
+    Row dims are found by walking the grid axes from the last one inward
+    while each axis is read by exactly one index, that index is the bare
+    iteration variable sweeping a whole tensor dim (``lo == 0``, extent
+    equal to the dim), and no other index depends on the axis. Returns
+    ``(gather, None)`` or ``(None, reason)`` with ``reason`` one of
+    :data:`READ_LOWERINGS`: ``"index_too_large"`` when the row index would
+    hold more entries than the tensor (conv im2col reads), and
+    ``"out_of_range"`` when ``ravel_multi_index`` rejects an index.
+    """
+    shape = tuple(read.tensor.shape)
+    deps = [free_vars(i) for i in read.indices]
+    row_dims: List[int] = []
+    for ax in reversed(axes):
+        readers = [t for t, names in enumerate(deps) if ax.name in names]
+        if len(readers) != 1:
+            break
+        t = readers[0]
+        index = read.indices[t]
+        if not (
+            isinstance(index, Var)
+            and ax.dom.lo == 0
+            and ax.extent == shape[t]
+        ):
+            break
+        row_dims.append(t)
+    row_dims.reverse()
+    p = len(row_dims)
+    lead = [t for t in range(len(shape)) if t not in row_dims]
+
+    # The generic gather returns the broadcast shape of the index grids;
+    # batched plans pad an all-constant read to the full grid rank.
+    out_shape = np.broadcast_shapes(*(g.shape for g in grids))
+    if batched and len(out_shape) < len(axes):
+        out_shape = (1,) * len(axes)
+    lead_out = out_shape[:len(out_shape) - p]
+    if int(np.prod(lead_out)) > read.tensor.num_elements:
+        return None, "index_too_large"
+    lead_shape = tuple(shape[t] for t in lead)
+    if lead:
+        pick = (Ellipsis,) + (0,) * p
+        try:
+            rows = np.ravel_multi_index(
+                [np.broadcast_to(grids[t], out_shape)[pick] for t in lead],
+                lead_shape,
+            )
+        except ValueError:
+            return None, "out_of_range"
+    else:
+        rows = np.zeros(lead_out, dtype=np.intp)
+    perm = tuple(lead + row_dims)
+    return RowGather(
+        rows=np.asarray(rows, dtype=np.intp),
+        row_shape=tuple(shape[t] for t in row_dims),
+        lead_size=int(np.prod(lead_shape)),
+        perm=None if perm == tuple(range(len(shape))) else perm,
+    ), None
+
+
+def _row_take(key: int, g: RowGather, batched: bool) -> Callable:
+    """The per-request closure replaying one :class:`RowGather`."""
+    rows = g.rows
+    if batched:
+        # The batch axis stays first; every lane takes the same rows.
+        shape = (-1, g.lead_size) + g.row_shape
+        axis = 1
+        perm = None if g.perm is None else (0,) + tuple(
+            1 + d for d in g.perm
+        )
+    else:
+        shape = (g.lead_size,) + g.row_shape
+        axis = 0
+        perm = g.perm
+    if perm is None:
+        return lambda v, key=key, rows=rows, shape=shape, axis=axis: np.take(
+            v[key].reshape(shape), rows, axis=axis
+        )
+    if rows.ndim == 0 and g.lead_size == 1:
+        # A pure transpose: the fresh transposed copy is the result.
+        pick = (slice(None), 0) if batched else (0,)
+
+        def transpose_copy(v, key=key, shape=shape, perm=perm, pick=pick):
+            base = np.ascontiguousarray(v[key].transpose(perm))
+            return base.reshape(shape)[pick]
+
+        return transpose_copy
+
+    def take_transposed(v, key=key, rows=rows, shape=shape, axis=axis,
+                        perm=perm):
+        base = np.ascontiguousarray(v[key].transpose(perm))
+        return np.take(base.reshape(shape), rows, axis=axis)
+
+    return take_transposed
+
+
 def _compile_read(
     read: TensorRead,
     env: Mapping[str, np.ndarray],
     axes: Sequence[IterVar],
     batched: bool = False,
+    tally: Optional[Dict[str, int]] = None,
 ) -> _Compiled:
-    """Resolve a tensor read to a view or a precomputed gather map.
+    """Resolve a tensor read to a view, a row gather or a generic gather.
 
     Index expressions depend only on iteration variables and constants, so
     the integer index grids are fully materialised at plan time. The common
     identity pattern ``T[i, j, ...]`` (every node axis, in order, sweeping
     the full tensor) short-circuits to the bare array — no copy at all.
+    Every other static read replays as a contiguous-row ``np.take`` with a
+    plan-time row index (:func:`plan_row_gather`) unless that index would
+    outgrow the tensor or an index is out of range; those keep the generic
+    multi-array gather the :class:`Evaluator` runs.
 
     In batched mode the stored value has shape ``(B,) + tensor.shape``; the
-    precomputed index grids address the trailing (request) dimensions while
-    a leading slice carries every batch lane through the same gather. The
-    gathered block is reshaped so its request dims stay trailing-aligned
-    with the unbatched broadcast semantics.
+    precomputed indices address the trailing (request) dimensions while
+    every batch lane goes through the same gather. The gathered block keeps
+    its request dims trailing-aligned with the unbatched broadcast
+    semantics, and each lane holds the bytes of an unbatched gather.
     """
     key = id(read.tensor)
     base_shape = tuple(getattr(read.tensor, "shape", ()))
@@ -307,8 +461,15 @@ def _compile_read(
     ):
         return None, lambda v, key=key: v[key]
 
-    parts = [_compile_expr(i, env, axes, batched) for i in read.indices]
+    def note(lowering: str) -> None:
+        if tally is not None:
+            tally[lowering] = tally.get(lowering, 0) + 1
+
+    parts = [
+        _compile_expr(i, env, axes, batched, tally) for i in read.indices
+    ]
     if any(f is not None for _, f in parts):
+        note("data_dependent")
         if batched:
             # A data-dependent index would differ per batch lane, breaking
             # the shared precomputed gather. It does not occur in this IR;
@@ -333,18 +494,30 @@ def _compile_read(
         return None, gather_dynamic
 
     indices = [np.asarray(c, dtype=np.int64) for c, _ in parts]
+    gather, reason = plan_row_gather(read, indices, axes, batched)
+    if gather is not None:
+        note("row")
+        return None, _row_take(key, gather, batched)
+    note(reason)
+    return None, _generic_gather(key, indices, len(axes), batched)
+
+
+def _generic_gather(
+    key: int, indices: List[np.ndarray], ndim: int, batched: bool
+) -> Callable:
+    """The multi-array fancy-index gather over the full index grids."""
     if len(indices) > 1:
         indices = list(np.broadcast_arrays(*indices))
     idx = tuple(indices)
     if not batched:
-        return None, lambda v, key=key, idx=idx: v[key][idx]
+        return lambda v, key=key, idx=idx: v[key][idx]
 
     # Unbatched gathers produce the broadcast shape of the index grids and
     # rely on trailing alignment against the axis grids; the batched result
     # must keep those dims trailing, padding with ones in between when the
     # grids collapse below the full axis rank (e.g. all-constant indices).
     grid_shape = np.broadcast_shapes(*[i.shape for i in indices])
-    pad = (1,) * (len(axes) - len(grid_shape))
+    pad = (1,) * (ndim - len(grid_shape))
 
     def gather_batched(v: Values, key=key, idx=idx, pad=pad) -> np.ndarray:
         out = v[key][(slice(None),) + idx]
@@ -352,7 +525,7 @@ def _compile_read(
             out = out.reshape(out.shape[:1] + pad + out.shape[1:])
         return out
 
-    return None, gather_batched
+    return gather_batched
 
 
 def _batched(shape: Tuple[int, ...], batch_size: Optional[int]) -> Tuple[int, ...]:
@@ -424,7 +597,8 @@ def compile_plan_step(
         )
 
     env = _grid_env(all_axes)
-    const, fn = _compile_expr(body, env, all_axes, batched)
+    reads: Dict[str, int] = {}
+    const, fn = _compile_expr(body, env, all_axes, batched, reads)
 
     if reduce_kind is None:
         if fn is None:
@@ -444,7 +618,8 @@ def compile_plan_step(
             np.copyto(v[key], fn(v))
 
         return PlanStep(
-            index, tensor.name, "map", key, run_map, value_fn=fn
+            index, tensor.name, "map", key, run_map, value_fn=fn,
+            reads=reads,
         )
 
     full_shape = _batched(
@@ -454,7 +629,13 @@ def compile_plan_step(
     reduce_dims = tuple(
         offset + d for d in range(len(spatial), len(all_axes))
     )
-    red_fn = {"sum": np.sum, "max": np.max, "min": np.min}[reduce_kind]
+    # The ufunc reductions np.sum/np.max/np.min dispatch to, called
+    # directly: the same kernel without the per-call wrapper.
+    red_fn = {
+        "sum": np.add.reduce,
+        "max": np.maximum.reduce,
+        "min": np.minimum.reduce,
+    }[reduce_kind]
 
     if fn is None:
         folded = red_fn(
@@ -477,10 +658,14 @@ def compile_plan_step(
         dims=reduce_dims,
         red=red_fn,
     ):
-        grid = np.broadcast_to(fn(v), full)
+        grid = fn(v)
+        if grid.shape != full:
+            grid = np.broadcast_to(grid, full)
         red(grid, axis=dims, out=v[key])
 
-    return PlanStep(index, tensor.name, "reduce", key, run_reduce)
+    return PlanStep(
+        index, tensor.name, "reduce", key, run_reduce, reads=reads
+    )
 
 
 @dataclass(frozen=True)
@@ -637,6 +822,11 @@ class ExecutionPlan:
     @property
     def num_steps(self) -> int:
         return len(self.steps)
+
+    @property
+    def read_lowering(self) -> Dict[str, int]:
+        """Read lowerings one request replays, summed over the steps."""
+        return merge_read_counts(step.reads for step in self.steps)
 
     def new_arena(self) -> Arena:
         """Allocate one workspace for this plan (reused across requests)."""

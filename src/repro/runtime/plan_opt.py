@@ -854,7 +854,7 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     """
     from repro.analysis.characterize import step_cost_features
     from repro.cache.keys import step_content_key
-    from repro.runtime.executor import PlanStep
+    from repro.runtime.executor import PlanStep, merge_read_counts
     from repro.verify import Severity, verify_plan
 
     config = plan.config
@@ -905,6 +905,7 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
                 step_key=step_content_key(chain.member_nodes),
                 cost_features=step_cost_features(chain.member_nodes),
                 block_rows=chain.block_rows,
+                reads=runtime.block_reads(g.block_index),
             ))
             continue
         terminal_step = base_steps[g.terminal.index]
@@ -915,6 +916,7 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
                 value_fn=terminal_step.value_fn,
                 step_key=terminal_step.step_key,
                 cost_features=terminal_step.cost_features,
+                reads=terminal_step.reads,
             )
         else:
             interiors = tuple(
@@ -938,6 +940,9 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
                 ),
                 step_key=step_content_key(g.members),
                 cost_features=step_cost_features(g.members),
+                reads=merge_read_counts(
+                    base_steps[m.index].reads for m in g.members
+                ),
             )
         new_steps.append(step)
 

@@ -559,7 +559,7 @@ class _BlockPlan:
     """Compiled steps + binding recipe for one block extent."""
 
     __slots__ = ("runs", "aliases", "passthrough", "scratch", "term_key",
-                 "block_tensors")
+                 "block_tensors", "reads")
 
     def __init__(self) -> None:
         self.runs = []         # compiled step closures, chain order
@@ -570,6 +570,7 @@ class _BlockPlan:
         # Keep the rewritten tensors alive: closures key the values table
         # by id(), which must not be recycled underneath them.
         self.block_tensors = []
+        self.reads = {}        # read lowerings over every block step
 
 
 def _compile_block_plan(
@@ -584,7 +585,9 @@ def _compile_block_plan(
     through the executor's own step compiler, so block steps run the same
     numpy kernels per row as the untiled plan.
     """
-    from repro.runtime.executor import EXEC_ITEMSIZE, compile_plan_step
+    from repro.runtime.executor import (
+        EXEC_ITEMSIZE, compile_plan_step, merge_read_counts,
+    )
 
     bp = _BlockPlan()
     lanes_shape = () if batch_size is None else (int(batch_size),)
@@ -626,6 +629,7 @@ def _compile_block_plan(
             bt, index=len(bp.runs), key=id(bt), batch_size=batch_size
         )
         bp.runs.append(step.run)
+        bp.reads = merge_read_counts((bp.reads, step.reads))
         if node is chain.terminal:
             bp.term_key = id(bt)
         else:
@@ -657,6 +661,11 @@ class ChainRuntime:
             extent: _compile_block_plan(chain, extent, batch_size)
             for extent in sorted({hi - lo for lo, hi in chain.block_ranges})
         }
+
+    def block_reads(self, block_index: int) -> Dict[str, int]:
+        """Read lowerings one block replays (see ``PlanStep.reads``)."""
+        lo, hi = self.chain.block_ranges[block_index]
+        return dict(self._plans[hi - lo].reads)
 
     def block_run(self, block_index: int):
         """The run closure for one block: bind views, replay the chain."""

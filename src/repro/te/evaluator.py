@@ -59,10 +59,6 @@ _CMP_FN = {
 }
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + _sp.erf(x / np.sqrt(2.0)))
 
@@ -88,7 +84,8 @@ _CALL_FN = {
     "rsqrt": lambda x: 1.0 / np.sqrt(x),
     "erf": _sp.erf,
     "tanh": np.tanh,
-    "sigmoid": _sigmoid,
+    # expit saturates to exactly 0/1 instead of overflowing in exp(-x).
+    "sigmoid": _sp.expit,
     "relu": lambda x: np.maximum(x, 0.0),
     "gelu": _gelu,
     "abs": np.abs,

@@ -67,6 +67,7 @@ class TestCommands:
         assert "plan optimizer: mmoe_tiny" in out
         assert "steps:" in out and "arena workspace:" in out
         assert "matmul" in out  # tiny scale reports specialization too
+        assert "tensor reads/request: 14/14 row-gathered" in out
 
     def test_plan_stats_batched_paper_scale(self, capsys):
         assert main(["plan-stats", "mmoe", "--scale", "paper",

@@ -1,10 +1,13 @@
 """Tests for the numpy evaluator: every expression form vs a reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
 
 from repro.errors import ExecutionError
+from repro.runtime.executor import compile_plan_step
 from repro.te import (
     Evaluator,
     call,
@@ -62,6 +65,19 @@ class TestElementwise:
         b = compute((3,), lambda i: call("sqrt", a[i]))
         x = np.abs(rng.standard_normal(3)) + 0.1
         assert np.allclose(evaluate(b, {a: x}), np.sqrt(x))
+
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        a = placeholder((2,))
+        b = compute((2,), lambda i: call("sigmoid", a[i]))
+        x = np.array([-1000.0, 1000.0])
+        out = np.empty(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = evaluate(b, {a: x})
+            # The plan step compiler shares the evaluator's intrinsics.
+            compile_plan_step(b, 0).run({id(a): x, id(b): out})
+        assert ref.tolist() == [0.0, 1.0]
+        assert out.tobytes() == ref.tobytes()
 
     def test_select(self, rng):
         a = placeholder((6,))
