@@ -3,18 +3,14 @@ and arena layout before its first replay.
 
 The compiler-side global analysis (Sec. 5-6 of the paper) fuses TEs and
 plans reuse *inside* kernels; this module is its runtime mirror over the
-:class:`~repro.runtime.executor.ExecutionPlan` step DAG. Three passes, each
+:class:`~repro.runtime.executor.ExecutionPlan` step DAG. Two passes, each
 optional and each required to keep replay bit-identical to the unoptimized
 plan:
 
-1. **Weight-subgraph hoisting** (Sec. 5.1 temporal reuse) — steps whose
-   transitive inputs are all session-bound constants (``role="weight"``
-   placeholders) are evaluated once per weight-set at bind time and cached
-   on the plan, so pre-packed weights survive across requests.
-2. **Vertical step fusion** (Sec. 6.2, Eq. 2) — chains of one-relies-on-one
+1. **Vertical step fusion** (Sec. 6.2, Eq. 2) — chains of one-relies-on-one
    ``map`` steps whose producer has a single consumer are composed into one
    closure; the intermediate is never materialised and leaves the arena.
-3. **In-place elision** (Sec. 6.5 buffer reuse) — a fused or lone
+2. **In-place elision** (Sec. 6.5 buffer reuse) — a fused or lone
    elementwise step whose input buffer dies at that step writes into its
    input's bytes, shrinking ``workspace_bytes``. Safe because ``map`` steps
    fully evaluate their value into temporaries before the final ``copyto``.
@@ -170,7 +166,6 @@ class OptimizeStats:
 
     steps_before: int = 0
     steps_after: int = 0
-    hoisted_steps: int = 0
     fused_steps: int = 0             # producers folded into their consumer
     elided_buffers: int = 0
     elided_bytes: int = 0            # arena bytes merged away by elision
@@ -216,7 +211,7 @@ class OptimizeStats:
             )
         return (
             f"plan optimizer: {self.steps_before}->{self.steps_after} steps "
-            f"({self.hoisted_steps} hoisted, {self.fused_steps} fused), "
+            f"({self.fused_steps} fused), "
             f"{self.specialized_contractions}/{self.einsum_steps} matmul-"
             f"specialized, {self.elided_buffers} elided, "
             f"{self.arena_bytes_saved} arena bytes saved"
@@ -231,7 +226,6 @@ class OptimizeStats:
         )
         lines = [
             f"steps:            {self.steps_before} -> {self.steps_after}",
-            f"  hoisted (run once per weight-set): {self.hoisted_steps}",
             f"  fused into consumers:              {self.fused_steps}",
             f"contractions specialized to matmul:  "
             f"{self.specialized_contractions}/{self.einsum_steps}",
@@ -263,9 +257,6 @@ class PlanOptimization:
     """
 
     program: TEProgram
-    hoisted_nodes: List[TENode]
-    hoist_roots: List[Tensor]        # weight placeholders feeding the hoist
-    hoist_boundary: List[Tensor]     # hoisted tensors read by live steps
     groups: List[StepGroup]          # optimized steps, execution order
     elided: Dict[int, Tensor]        # group position -> operand reused
     memory_plan: MemoryPlan
@@ -282,7 +273,6 @@ def plan_optimization(
     program: TEProgram,
     sizer: Optional[Callable[[Tensor], int]] = None,
     batch_size: Optional[int] = None,
-    hoist: bool = True,
     fuse: bool = True,
     elide: bool = True,
     tile: bool = True,
@@ -322,41 +312,10 @@ def plan_optimization(
         program, sizer=sizer, exclusive_writes=True
     ).workspace_bytes
 
-    # ---- pass 1: weight-subgraph hoisting -------------------------------
-    hoisted_ids: Set[int] = set()
-    hoisted_nodes: List[TENode] = []
-    if hoist:
-        const_ids = {
-            id(t) for t in program.inputs
-            if getattr(t, "role", "input") == "weight"
-        }
-        for node in nodes:
-            if program.is_output(node.tensor):
-                continue
-            if all(
-                id(d) in const_ids or id(d) in hoisted_ids
-                for d in node.inputs
-            ):
-                hoisted_ids.add(id(node.tensor))
-                hoisted_nodes.append(node)
-    read_by_hoisted = {
-        id(d) for n in hoisted_nodes for d in n.inputs
-    }
-    hoist_roots = [t for t in program.inputs if id(t) in read_by_hoisted]
-    hoist_boundary = [
-        n.tensor for n in hoisted_nodes
-        if any(
-            id(c.tensor) not in hoisted_ids
-            for c in program.consumers(n.tensor)
-        )
-    ]
-    stats.hoisted_steps = len(hoisted_nodes)
-
-    # ---- pass 2: vertical step fusion -----------------------------------
-    surviving = [n for n in nodes if id(n.tensor) not in hoisted_ids]
+    # ---- pass 1: vertical step fusion -----------------------------------
     inline_into: Dict[int, int] = {}  # node index -> consumer node index
     if fuse:
-        for node in surviving:
+        for node in nodes:
             if kinds[node.index] != "map":
                 continue
             if program.is_output(node.tensor):
@@ -365,8 +324,6 @@ def plan_optimization(
             if len(consumers) != 1:
                 continue
             consumer = consumers[0]
-            if id(consumer.tensor) in hoisted_ids:
-                continue
             if kinds[consumer.index] != "map":
                 continue
             if not _identity_reads_only(consumer, node.tensor):
@@ -389,7 +346,7 @@ def plan_optimization(
         from repro.cache.keys import step_content_key
 
         stats.tuned = True
-        for node in surviving:
+        for node in nodes:
             if kinds[node.index] != "map" or node.index in inline_into:
                 continue
             if program.is_output(node.tensor):
@@ -398,8 +355,6 @@ def plan_optimization(
             if len(consumers) != 1:
                 continue
             consumer = consumers[0]
-            if id(consumer.tensor) in hoisted_ids:
-                continue
             if kinds[consumer.index] != "reduce":
                 continue
             if not _identity_reads_with_reduce(consumer, node.tensor):
@@ -412,7 +367,7 @@ def plan_optimization(
             stats.tuned_fusions += 1
 
         inline_targets = set(inline_into.values())
-        for node in surviving:
+        for node in nodes:
             if kinds[node.index] != "map" or node.index in inline_into:
                 continue
             if node.index in inline_targets:
@@ -423,8 +378,7 @@ def plan_optimization(
             if len(consumers) < 2:
                 continue
             if any(
-                id(c.tensor) in hoisted_ids
-                or kinds[c.index] not in ("map", "reduce")
+                kinds[c.index] not in ("map", "reduce")
                 or not _identity_reads_with_reduce(c, node.tensor)
                 for c in consumers
             ):
@@ -458,7 +412,7 @@ def plan_optimization(
         return root
 
     members_of: Dict[int, List[TENode]] = {}
-    for node in surviving:
+    for node in nodes:
         if node.index in duplicated:
             continue  # recomputed inside every consumer's group instead
         members_of.setdefault(find_terminal(node.index), []).append(node)
@@ -519,7 +473,7 @@ def plan_optimization(
         (c.scratch_bytes for c in tiled_chains), default=0
     )
 
-    # ---- pass 3: in-place elision ---------------------------------------
+    # ---- pass 2: in-place elision ---------------------------------------
     # With map duplication one tensor can be read by several groups even
     # though all its program-level consumers sit inside each of them; track
     # reader groups so elision never overwrites bytes a sibling still needs
@@ -543,8 +497,6 @@ def plan_optimization(
             for t in g.reads:
                 if program.producer(t) is None:
                     continue
-                if id(t) in hoisted_ids:
-                    continue  # cached across requests; never overwrite
                 if program.is_output(t):
                     continue
                 if any(c not in member_nodes
@@ -667,7 +619,7 @@ def plan_optimization(
     ]
     step_view = ProgramView(
         name=f"{program.name}+opt",
-        inputs=list(program.inputs) + list(hoist_boundary),
+        inputs=list(program.inputs),
         nodes=view_nodes,
         outputs=list(program.outputs),
     )
@@ -678,9 +630,6 @@ def plan_optimization(
 
     return PlanOptimization(
         program=program,
-        hoisted_nodes=hoisted_nodes,
-        hoist_roots=hoist_roots,
-        hoist_boundary=hoist_boundary,
         groups=groups,
         elided=elided,
         memory_plan=memory_plan,
@@ -847,9 +796,9 @@ def _specialize_contraction(plan, tensor: Tensor, step) -> Optional[Callable]:
 def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
     """Apply the pass pipeline to a built :class:`ExecutionPlan` in place.
 
-    Rewrites ``plan.steps`` and ``plan.memory_plan``, installs the hoist
-    cache, and re-validates the rewritten layout through the verifier's
-    arena-hazard pass (in-place pairs allowlisted). Raises
+    Rewrites ``plan.steps`` and ``plan.memory_plan`` and re-validates the
+    rewritten layout through the verifier's arena-hazard pass (in-place
+    pairs allowlisted). Raises
     :class:`~repro.errors.PlanningError` on an unsafe optimized layout.
     """
     from repro.analysis.characterize import step_cost_features
@@ -871,11 +820,6 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
         )
 
     base_steps = plan.steps  # indexed by original node index
-
-    hoist_steps = [
-        (base_steps[n.index], plan._batched_shape(tuple(n.tensor.shape)))
-        for n in opt.hoisted_nodes
-    ]
 
     # Tiled chains compile once per chain (shared across its blocks): the
     # block plans rewrite every member at block extent and borrow scratch
@@ -980,9 +924,5 @@ def optimize_plan(plan, opt: Optional[PlanOptimization] = None):
 
     plan.steps = new_steps
     plan.memory_plan = opt.memory_plan
-    plan._hoist_steps = hoist_steps
-    plan._hoist_roots = list(opt.hoist_roots)
-    plan._hoist_boundary_ids = [id(t) for t in opt.hoist_boundary]
-    plan._hoist_input_ids = [id(t) for t in opt.hoist_roots]
     plan.optimization = opt
     return opt

@@ -127,10 +127,8 @@ class PlanState:
         self.unbatchable_buckets: set = set()
         # Server-owned feeds (weights), merged under every request's feeds.
         # Bound once through the plan's converter — shared-memory float64
-        # views pass through zero-copy — and used as stable identity keys
-        # for the hoist cache.
+        # views pass through zero-copy.
         self.weight_feeds: Dict[Tensor, np.ndarray] = {}
-        self.hoisted_by_name: Dict[str, np.ndarray] = {}
 
     @property
     def program_hash(self) -> str:
@@ -143,20 +141,14 @@ class PlanState:
 
     # ---- weights ---------------------------------------------------------
 
-    def bind_weights(
-        self,
-        weights_by_name: Mapping[str, np.ndarray],
-        hoisted_by_name: Optional[Mapping[str, np.ndarray]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Install server-owned weight feeds and pre-warm the hoist cache.
+    def bind_weights(self, weights_by_name: Mapping[str, np.ndarray]) -> None:
+        """Install server-owned weight feeds.
 
         ``weights_by_name`` maps placeholder names to arrays; each is
         converted once through the plan's binder (zero-copy for contiguous
         float64, e.g. shared-memory views) and merged under every request.
-        ``hoisted_by_name`` optionally supplies precomputed hoist-boundary
-        values (a warm weight store) so the hoisted subgraph never runs in
-        this process. Returns the hoist-boundary values by name — computing
-        them now if they were not supplied — for persisting to a store.
+        Nothing derived from the weights is cached: every request reads the
+        bound arrays as they are when it runs.
         """
         resolved = resolve_feeds_by_name(self.program, weights_by_name)
         bound: Dict[Tensor, np.ndarray] = {
@@ -164,17 +156,6 @@ class PlanState:
         }
         with self._lock:
             self.weight_feeds = bound
-        boundary = self.plan.seed_hoist_values(
-            bound, values_by_name=hoisted_by_name
-        )
-        self.hoisted_by_name = dict(boundary)
-        # Seed any batched plans that already exist; later builds are
-        # seeded in batch_plan().
-        with self._lock:
-            built = list(self._batched_plans.values())
-        for bp in built:
-            bp.seed_hoist_values(bound, values_by_name=self.hoisted_by_name)
-        return dict(boundary)
 
     def with_weights(
         self, feeds: Mapping[Tensor, np.ndarray]
@@ -218,11 +199,6 @@ class PlanState:
             )
             with self._lock:
                 plan = self._batched_plans.setdefault(bucket, built)
-            if plan is built and self.weight_feeds:
-                plan.seed_hoist_values(
-                    self.weight_feeds,
-                    values_by_name=self.hoisted_by_name or None,
-                )
         return plan
 
     def batch_plan_or_none(

@@ -4,13 +4,11 @@ A :class:`ShardedServer` scales the single-process serving stack
 (:class:`~repro.runtime.batching.BatchingServer`) across K worker
 *processes*. Each worker rebuilds the same deterministic
 :class:`~repro.runtime.executor.ExecutionPlan` from the serialized source
-graph, then maps the model's weights — and the optimizer's precomputed
-hoist-boundary values — out of one shared
+graph, then maps the model's weights out of one shared
 :class:`~repro.runtime.weight_store.WeightStore` segment, zero-copy. K
 replicas therefore hold K arena pools but exactly *one* copy of the
-weights, and a cold worker never re-runs the hoisted weight prologue: the
-values are already in the segment (persisted to disk across server runs,
-keyed like the compile cache).
+weights (persisted to disk across server runs, keyed like the compile
+cache).
 
 The front end mirrors ``BatchingServer``'s contract:
 
@@ -163,7 +161,6 @@ def _session_stats(session: InferenceSession) -> dict:
         "arenas_allocated": state.arenas_allocated,
         "arenas_trimmed": state.arenas_trimmed,
         "pool_high_water": state.pool_high_water,
-        "hoist_evaluations": session.plan.hoist_evaluations,
         "rss_bytes": _rss_bytes(),
     }
 
@@ -193,8 +190,7 @@ def _worker_main(
             program, batch_buckets=config.batch_buckets, config=config.config
         )
         weights = store.weights_by_name()
-        hoisted = store.hoisted_by_name()
-        plan_state.bind_weights(weights, hoisted_by_name=hoisted or None)
+        plan_state.bind_weights(weights)
         session = InferenceSession.from_plan_state(
             plan_state,
             name=f"{program.name}[{index}]",
@@ -213,7 +209,6 @@ def _worker_main(
             "pid": os.getpid(),
             "weight_bytes_mapped": store.total_bytes,
             "weight_private_bytes": private,
-            "hoist_evaluations": plan_state.plan.hoist_evaluations,
             "rss_bytes": _rss_bytes(),
         }))
     except BaseException as exc:  # noqa: BLE001 — forwarded to parent
@@ -355,9 +350,8 @@ class ShardedServer:
         )
 
         # The parent holds its own PlanState over the same shared weights:
-        # it validates submissions, computes the hoisted prologue exactly
-        # once for the store, and serves as the all-replicas-down fallback
-        # executor (bit-identical by construction — same plans, same
+        # it validates submissions, packs the store, and serves as the
+        # all-replicas-down fallback executor (bit-identical by construction — same plans, same
         # weight bytes).
         program = lower_graph(graph)
         self.plan_state = PlanState(
@@ -367,10 +361,7 @@ class ShardedServer:
         self.store = WeightStore.create(
             program, self.plan_state.plan, weights, cache_dir=cache_dir
         )
-        self.plan_state.bind_weights(
-            self.store.weights_by_name(),
-            hoisted_by_name=self.store.hoisted_by_name() or None,
-        )
+        self.plan_state.bind_weights(self.store.weights_by_name())
         self._local: Optional[InferenceSession] = None
         self._local_lock = threading.Lock()
 
@@ -918,9 +909,6 @@ class ShardedServer:
                     ),
                     "weight_private_bytes": replica.info.get(
                         "weight_private_bytes", 0
-                    ),
-                    "hoist_evaluations": replica.info.get(
-                        "hoist_evaluations", 0
                     ),
                 }
             row.update({

@@ -1,7 +1,6 @@
 """Shared-memory weight store: place each weight buffer exactly once.
 
-A :class:`WeightStore` packs a model's weight feeds — plus the precomputed
-hoist-boundary values of an optimized plan — into a single
+A :class:`WeightStore` packs a model's weight feeds into a single
 ``multiprocessing.shared_memory`` segment. Every serving replica (process)
 maps the segment and binds zero-copy numpy views: the arrays are already
 C-contiguous float64 (the execution dtype), so the plan binder passes them
@@ -13,9 +12,11 @@ reader sees the same immutable bytes.
 
 The packed blob is also persisted to disk (``<cache_dir>/weights/<key>``,
 keyed by a content address like the compile cache: program structure +
-weight bytes + layout version), so a cold server restores both the raw
-weights *and* the hoisted prologue values with one sequential read instead
-of re-converting and re-running the hoisted subgraph.
+per-weight digests + layout version), so a cold server restores its weights
+with one sequential read instead of re-converting them. A restored blob is
+checked against the same per-weight digests the key is built from; a blob
+that is short, unreadable or holds other bytes is a miss — rebuilt from
+the given weights and overwritten — and never serves.
 
 Lifecycle: the creating process owns the segment and must :meth:`unlink`
 it when serving stops; attaching processes :meth:`close` their mapping.
@@ -41,9 +42,9 @@ from repro.errors import ExecutionError
 from repro.graph.te_program import TEProgram
 from repro.runtime.executor import EXEC_DTYPE, ExecutionPlan
 
-# Bump to invalidate every persisted weight blob (layout or hoist-boundary
-# serialisation changed).
-WEIGHT_STORE_VERSION = 1
+# Bump to invalidate every persisted weight blob (slot layout or key
+# changed).
+WEIGHT_STORE_VERSION = 2
 
 # Slot alignment inside the segment (cache-line friendly; numpy is happy
 # with any alignment, this just keeps slot starts tidy).
@@ -59,7 +60,6 @@ class WeightSlot:
     """One array's placement inside the segment."""
 
     name: str
-    kind: str  # "weight" (raw placeholder feed) or "hoisted" (boundary value)
     offset: int
     shape: Tuple[int, ...]
 
@@ -77,7 +77,6 @@ class WeightSlot:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "kind": self.kind,
             "offset": self.offset,
             "shape": list(self.shape),
         }
@@ -86,7 +85,6 @@ class WeightSlot:
     def from_dict(doc: dict) -> "WeightSlot":
         return WeightSlot(
             name=doc["name"],
-            kind=doc["kind"],
             offset=int(doc["offset"]),
             shape=tuple(int(s) for s in doc["shape"]),
         )
@@ -100,14 +98,6 @@ class WeightManifest:
     shm_name: str
     total_bytes: int
     slots: List[WeightSlot] = field(default_factory=list)
-
-    @property
-    def weight_slots(self) -> List[WeightSlot]:
-        return [s for s in self.slots if s.kind == "weight"]
-
-    @property
-    def hoisted_slots(self) -> List[WeightSlot]:
-        return [s for s in self.slots if s.kind == "hoisted"]
 
     def to_dict(self) -> dict:
         return {
@@ -132,38 +122,47 @@ class WeightManifest:
         )
 
 
+def _digest_of(name: str, arr: np.ndarray) -> list:
+    """One weight's identity in a store key: [name, shape, sha256 of its
+    bytes]. ``arr`` must already be C-contiguous float64."""
+    return [name, list(arr.shape), hashlib.sha256(arr).hexdigest()]
+
+
+def _weight_digests(weights_by_name: Mapping[str, np.ndarray]) -> List[list]:
+    """Per-weight content digests, sorted by name."""
+    return [
+        _digest_of(
+            name,
+            np.ascontiguousarray(weights_by_name[name], dtype=EXEC_DTYPE),
+        )
+        for name in sorted(weights_by_name)
+    ]
+
+
 def weight_store_key(
-    program: TEProgram,
-    weights_by_name: Mapping[str, np.ndarray],
-    boundary: List[Tuple[str, Tuple[int, ...]]],
+    program: TEProgram, weights_by_name: Mapping[str, np.ndarray]
 ) -> str:
     """Content address of one packed weight-set.
 
-    Program structure + per-weight content digest + the hoist-boundary
-    layout: two servers share a blob iff the packed bytes would be
-    byte-identical.
+    Program structure + per-weight content digest: two servers share a
+    blob iff the packed bytes would be byte-identical.
     """
+    return _store_key(program, _weight_digests(weights_by_name))
+
+
+def _store_key(program: TEProgram, digests: List[list]) -> str:
     from repro.cache.keys import program_structural_hash
 
-    weight_digests = []
-    for name in sorted(weights_by_name):
-        arr = np.ascontiguousarray(weights_by_name[name], dtype=EXEC_DTYPE)
-        weight_digests.append([
-            name,
-            list(arr.shape),
-            hashlib.sha256(arr.tobytes()).hexdigest(),
-        ])
     return _digest({
         "tier": "weights",
         "version": WEIGHT_STORE_VERSION,
         "program": program_structural_hash(program),
-        "weights": weight_digests,
-        "boundary": [[name, list(shape)] for name, shape in boundary],
+        "weights": digests,
     })
 
 
 class WeightStore:
-    """One shared-memory segment of packed weights + hoisted values."""
+    """One shared-memory segment of packed weights."""
 
     def __init__(
         self,
@@ -188,19 +187,18 @@ class WeightStore:
         weights_by_name: Mapping[str, np.ndarray],
         cache_dir: Optional[str] = None,
     ) -> "WeightStore":
-        """Pack weights (and the plan's hoist-boundary values) into shm.
+        """Pack weights into shm, restoring a warm disk blob when one holds
+        exactly these weights.
 
-        ``plan`` supplies the hoist boundary: with a warm disk blob the
-        hoisted subgraph is *not* executed — the persisted values are
-        restored byte-for-byte. Otherwise the prologue runs once here and
-        the result is persisted (when a cache directory is configured).
+        ``plan`` converts each weight to the execution representation. On a
+        miss — no blob, or one that fails its digest check — the weights
+        are packed here and persisted (when a cache directory is
+        configured), overwriting any bad blob under the same key.
         """
         if cache_dir is None:
             cache_dir = default_cache_dir()
-        boundary_layout = [
-            (t.name, tuple(t.shape)) for t in plan.hoist_boundary
-        ]
-        key = weight_store_key(program, weights_by_name, boundary_layout)
+        digests = _weight_digests(weights_by_name)
+        key = _store_key(program, digests)
 
         blob_path = manifest_path = None
         if cache_dir:
@@ -211,10 +209,13 @@ class WeightStore:
         if blob_path and os.path.exists(blob_path) and os.path.exists(
             manifest_path
         ):
-            return cls._create_from_blob(blob_path, manifest_path, key)
+            restored = cls._create_from_blob(
+                blob_path, manifest_path, key, digests
+            )
+            if restored is not None:
+                return restored
 
-        # Layout: raw weights first (program input order for determinism),
-        # hoist-boundary slots after.
+        # Layout: weights in program input order (for determinism).
         slots: List[WeightSlot] = []
         offset = 0
         ordered = [
@@ -226,11 +227,7 @@ class WeightStore:
                 f"weights {sorted(missing)} name no program input"
             )
         for t in ordered:
-            slot = WeightSlot(t.name, "weight", offset, tuple(t.shape))
-            slots.append(slot)
-            offset = _aligned(offset + slot.nbytes)
-        for name, shape in boundary_layout:
-            slot = WeightSlot(name, "hoisted", offset, shape)
+            slot = WeightSlot(t.name, offset, tuple(t.shape))
             slots.append(slot)
             offset = _aligned(offset + slot.nbytes)
         total = max(offset, 1)
@@ -241,21 +238,9 @@ class WeightStore:
         )
         store = cls(shm, manifest, owner=True)
         try:
-            # Copy the converted weights into their slots, then run the
-            # hoisted prologue *on the shm views* so its cached identity
-            # keys are the very arrays replicas will feed.
             for t in ordered:
                 arr = plan._bind_one(t, weights_by_name[t.name])
                 store._view(store._slot(t.name))[...] = arr
-            if boundary_layout:
-                shm_weights = {
-                    t: store._view(store._slot(t.name)) for t in ordered
-                }
-                hoisted = plan.seed_hoist_values(shm_weights)
-                for name, _ in boundary_layout:
-                    store._view(store._slot(name, kind="hoisted"))[...] = (
-                        hoisted[name]
-                    )
             if blob_path:
                 store._persist(blob_path, manifest_path)
         except BaseException:
@@ -265,24 +250,46 @@ class WeightStore:
 
     @classmethod
     def _create_from_blob(
-        cls, blob_path: str, manifest_path: str, key: str
-    ) -> "WeightStore":
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-        if doc.get("key") != key:
-            raise ExecutionError(
-                f"weight blob at {blob_path} has key {doc.get('key')!r}, "
-                f"expected {key!r}"
+        cls, blob_path: str, manifest_path: str, key: str,
+        digests: List[list],
+    ) -> Optional["WeightStore"]:
+        """Restore a persisted blob into a fresh segment, or None (a miss).
+
+        The blob must be exactly the manifest's size and every slot must
+        hash to the digest it was keyed under; anything else — including
+        an unreadable manifest — unlinks the new segment and misses.
+        """
+        shm = None
+        try:
+            with open(manifest_path, "r", encoding="utf-8") as f:
+                doc = json.load(f)
+            total = int(doc["total_bytes"])
+            if doc.get("key") != key or os.path.getsize(blob_path) != total:
+                return None
+            shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
+            with open(blob_path, "rb") as f, shm.buf[:total] as dst:
+                if f.readinto(dst) != total:
+                    raise ValueError(f"short read from {blob_path}")
+            manifest = WeightManifest.from_dict(doc, shm_name=shm.name)
+            store = cls(shm, manifest, owner=True, loaded_from_disk=True)
+            restored = sorted(
+                _digest_of(s.name, store._view(s)) for s in manifest.slots
             )
-        total = int(doc["total_bytes"])
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        blob = np.memmap(blob_path, dtype=np.uint8, mode="r", shape=(total,))
-        dst = np.frombuffer(shm.buf, dtype=np.uint8, count=total)
-        dst[...] = blob
-        del blob, dst
-        manifest = WeightManifest.from_dict(doc, shm_name=shm.name)
-        manifest.shm_name = shm.name
-        return cls(shm, manifest, owner=True, loaded_from_disk=True)
+            if restored == digests:
+                return store
+        except (OSError, ValueError, KeyError, TypeError, ExecutionError):
+            pass
+        except BaseException:
+            cls._discard(shm)
+            raise
+        cls._discard(shm)
+        return None
+
+    @staticmethod
+    def _discard(shm: Optional[shared_memory.SharedMemory]) -> None:
+        if shm is not None:
+            shm.close()
+            shm.unlink()
 
     def _persist(self, blob_path: str, manifest_path: str) -> None:
         os.makedirs(os.path.dirname(blob_path), exist_ok=True)
@@ -310,11 +317,11 @@ class WeightStore:
 
     # ---- views -----------------------------------------------------------
 
-    def _slot(self, name: str, kind: str = "weight") -> WeightSlot:
+    def _slot(self, name: str) -> WeightSlot:
         for slot in self.manifest.slots:
-            if slot.name == name and slot.kind == kind:
+            if slot.name == name:
                 return slot
-        raise ExecutionError(f"no {kind} slot named {name!r} in weight store")
+        raise ExecutionError(f"no weight slot named {name!r} in weight store")
 
     def _view(self, slot: WeightSlot) -> np.ndarray:
         arr = np.frombuffer(
@@ -327,15 +334,7 @@ class WeightStore:
 
     def weights_by_name(self) -> Dict[str, np.ndarray]:
         """Zero-copy views of every raw weight (C-contiguous float64)."""
-        return {
-            s.name: self._view(s) for s in self.manifest.weight_slots
-        }
-
-    def hoisted_by_name(self) -> Dict[str, np.ndarray]:
-        """Zero-copy views of every persisted hoist-boundary value."""
-        return {
-            s.name: self._view(s) for s in self.manifest.hoisted_slots
-        }
+        return {s.name: self._view(s) for s in self.manifest.slots}
 
     @property
     def total_bytes(self) -> int:
@@ -370,8 +369,7 @@ class WeightStore:
     def __repr__(self) -> str:
         return (
             f"<WeightStore {self.manifest.key[:12]}: "
-            f"{len(self.manifest.weight_slots)} weights + "
-            f"{len(self.manifest.hoisted_slots)} hoisted, "
+            f"{len(self.manifest.slots)} weights, "
             f"{self.total_bytes} bytes, "
             f"{'owner' if self.owner else 'attached'}>"
         )

@@ -103,8 +103,7 @@ class Tensor:
         self.name = name if name is not None else _fresh_name("t")
         self.op = op
         # Placeholders only: "weight" marks a session-bound constant (fed
-        # identically across requests), "input" a per-request feed. The plan
-        # optimizer's hoisting pass treats weight-only subgraphs as foldable.
+        # identically across requests), "input" a per-request feed.
         self.role = role
 
     @property
@@ -145,9 +144,11 @@ def placeholder(
     """Declare a graph input or weight tensor.
 
     ``role="weight"`` marks the placeholder as a session-bound constant —
-    the same array is fed on every request — which lets the runtime plan
-    optimizer hoist subgraphs depending only on weights out of the
-    per-request step list.
+    the same array is fed on every request. Serving tools use the role to
+    pick the feeds a sharded server places once in its shared weight
+    store, and the batched-lowering check probes weights as one array
+    shared by every lane. The plan folds nothing ahead of time: a subgraph
+    that reads only weights runs as an ordinary step on every request.
     """
     return Tensor(shape, dtype=dtype, name=name, role=role)
 

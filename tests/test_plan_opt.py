@@ -2,11 +2,14 @@
 
 The contract: an optimized :class:`ExecutionPlan` is *bit-identical* to the
 unoptimized plan on every paper model — unbatched and batched — while
-hoisting weight-only subgraphs out of the request path (Sec. 5.1), fusing
-single-consumer map chains (Sec. 6.2) and eliding dead inputs in place
-(Sec. 6.5). Every pass, in every combination, must also leave a layout the static
-verifier accepts.
+fusing single-consumer map chains (Sec. 6.2) and eliding dead inputs in
+place (Sec. 6.5). Every pass, in every combination, must also leave a
+layout the static verifier accepts. A subgraph that reads only weights is
+an ordinary step: it runs on every request against the weights as they are
+then, so a changed or reallocated weight can never serve a stale value.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -22,10 +25,11 @@ from repro.runtime.executor import (
 )
 from repro.runtime.plan_opt import optimize_plan, plan_optimization
 from repro.runtime.session import InferenceSession
+from repro.te.evaluator import Evaluator
 from repro.transform import random_feeds
 from repro.verify import verify_plan
 
-from tests.test_verify_property import random_graphs
+from tests.strategies import random_graphs
 
 # The plain lowering: the optimizer pass pipeline off.
 PLAIN = PlanConfig(optimize=False)
@@ -85,7 +89,6 @@ class TestBitIdentity:
 @st.composite
 def pass_flags(draw):
     return {
-        "hoist": draw(st.booleans()),
         "fuse": draw(st.booleans()),
         "elide": draw(st.booleans()),
     }
@@ -110,96 +113,70 @@ def test_every_pass_subset_is_clean_and_exact(graph, flags):
         assert np.array_equal(g, w)
 
 
-# ---- pass 1: weight-subgraph hoisting ----------------------------------------
+# ---- weight-only subgraphs run on every request -----------------------------
 
 
-def hoistable_program():
-    """``x * relu(w1 + w2)``: the add and the relu depend only on weights,
-    so both hoist; the relu output is the hoist boundary."""
-    b = GraphBuilder("hoisty")
+def weight_relu_program():
+    """``matmul(x, relu(w))``: ``relu(w)`` reads only a weight."""
+    b = GraphBuilder("wrelu")
     x = b.input((4, 8), name="x")
-    w1 = b.weight((4, 8), name="w1")
-    w2 = b.weight((4, 8), name="w2")
-    return lower_graph(b.build([b.mul(x, b.relu(b.add(w1, w2)))]))
+    w = b.weight((8, 6), name="w")
+    return lower_graph(b.build([b.matmul(x, b.relu(w))]))
 
 
-class TestHoisting:
-    def test_weight_subgraph_leaves_the_request_path(self):
-        program = hoistable_program()
-        opt = plan_optimization(program)
-        assert opt.stats.hoisted_steps == 2
-        assert len(opt.hoist_boundary) == 1
-        # Hoisted tensors are dead to the arena: the memory plan must not
-        # assign bytes to them.
-        hoisted = {id(n.tensor) for n in opt.hoisted_nodes}
-        assert not hoisted & set(opt.memory_plan.assignments)
+def assert_matches_oracle(program, feeds, got):
+    ev = Evaluator(feeds)
+    want = [ev.value_of(t) for t in program.outputs]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
-    def test_hoist_cache_hits_on_same_weight_objects(self):
-        program = hoistable_program()
+
+class TestWeightOnlySubgraph:
+    def test_runs_as_an_ordinary_step(self):
+        program = weight_relu_program()
         plan = ExecutionPlan(program)
-        assert plan._hoist_steps, "expected a hoisted prologue"
-        feeds = random_feeds(program, seed=0)
-        want = ExecutionPlan(program, config=PLAIN).run(feeds)
+        assert plan.num_steps == len(program.nodes) == 2
 
-        got = plan.run(feeds)
-        assert plan.hoist_evaluations == 1
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+    def test_weight_changed_in_place_between_runs(self):
+        program = weight_relu_program()
+        x, w = program.inputs
+        session = InferenceSession(program)
+        rng = np.random.default_rng(0)
+        feeds = {x: rng.standard_normal(x.shape),
+                 w: rng.standard_normal(w.shape)}
+        assert_matches_oracle(program, feeds, session.run(feeds))
+        feeds[w] += 1.0  # same object, new bytes
+        assert_matches_oracle(program, feeds, session.run(feeds))
 
-        # Same weight objects again: the cached prologue is reused.
-        plan.run(feeds)
-        assert plan.hoist_evaluations == 1
+    def test_fresh_weights_freed_between_runs(self):
+        """CPython reuses a freed array's ``id()`` for the next one of the
+        same size; no result may depend on that."""
+        program = weight_relu_program()
+        x, w = program.inputs
+        session = InferenceSession(program)
+        rng = np.random.default_rng(1)
+        xv = rng.standard_normal(x.shape)
+        for _ in range(200):
+            wv = rng.standard_normal(w.shape)
+            feeds = {x: xv, w: wv}
+            assert_matches_oracle(program, feeds, session.run(feeds))
+            del feeds, wv
+            gc.collect()
 
-        # Fresh array objects with the same bytes (a respawned worker
-        # re-binding the same weights): the content-hash fallback aliases
-        # the cached prologue instead of re-hoisting.
-        fresh = {t: np.array(v) for t, v in feeds.items()}
-        plan.run(fresh)
-        assert plan.hoist_evaluations == 1
-        assert plan.hoist_content_hits == 1
-        plan.run(fresh)
-        assert plan.hoist_evaluations == 1
-        assert plan.hoist_content_hits == 1  # identity hit, no rehash
-
-        # Mutated weight bytes are a genuinely new weight-set: recompute.
-        mutated = {t: np.array(v) for t, v in feeds.items()}
-        weight = next(t for t in mutated if t.role == "weight")
-        mutated[weight] = mutated[weight] + 1.0
-        plan.run(mutated)
-        assert plan.hoist_evaluations == 2
-
-    def test_batched_plan_hoists_too(self):
-        program = hoistable_program()
-        plan = BatchedExecutionPlan(program, batch_size=3)
-        requests = request_feeds(program, 3, seed=4)
-        # Weights are normally shared across lanes; share them here.
-        shared = requests[0]
-        requests = [
-            {t: (shared[t] if t.role == "weight" else v)
-             for t, v in feeds.items()}
-            for feeds in requests
-        ]
-        want = BatchedExecutionPlan(
-            program, batch_size=3, config=PLAIN
-        ).run_batch(requests)
-        got = plan.run_batch(requests)
-        assert plan.hoist_evaluations == 1
-        for lane_w, lane_g in zip(want, got):
-            for w, g in zip(lane_w, lane_g):
-                assert np.array_equal(g, w)
-        plan.run_batch(requests)
-        assert plan.hoist_evaluations == 1
-
-    def test_outputs_never_hoist(self):
-        b = GraphBuilder("wout")
-        w1 = b.weight((4, 4), name="w1")
-        w2 = b.weight((4, 4), name="w2")
-        program = lower_graph(b.build([b.add(w1, w2)]))
-        opt = plan_optimization(program)
-        assert opt.stats.hoisted_steps == 0
+    def test_shared_weight_changed_between_batches(self):
+        program = weight_relu_program()
+        x, w = program.inputs
+        session = InferenceSession(program, batch_buckets=(4,))
+        rng = np.random.default_rng(2)
+        wv = rng.standard_normal(w.shape)
+        for _ in range(3):
+            requests = [{x: rng.standard_normal(x.shape), w: wv}
+                        for _ in range(4)]
+            for feeds, got in zip(requests, session.run_batch(requests)):
+                assert_matches_oracle(program, feeds, got)
+            wv *= -0.5  # every lane's shared weight, in place
 
 
-# ---- pass 2: vertical step fusion --------------------------------------------
+# ---- pass 1: vertical step fusion --------------------------------------------
 
 
 def map_chain_program():
@@ -213,14 +190,14 @@ def map_chain_program():
 class TestFusion:
     def test_single_consumer_map_chain_fuses(self):
         program = map_chain_program()
-        opt = plan_optimization(program, hoist=False, elide=False)
+        opt = plan_optimization(program, elide=False)
         assert opt.stats.fused_steps == 2  # relu->sigmoid, sigmoid->tanh
         names = [g.name for g in opt.groups]
         assert any("+" in name for name in names), names
 
     def test_fused_interiors_deleted_from_arena(self):
         program = map_chain_program()
-        opt = plan_optimization(program, hoist=False, elide=False)
+        opt = plan_optimization(program, elide=False)
         interiors = {
             id(m.tensor)
             for g in opt.groups
@@ -241,7 +218,7 @@ class TestFusion:
         x = b.input((4, 4), name="x")
         y = b.relu(x)
         program = lower_graph(b.build([b.add(b.sigmoid(y), b.tanh(y))]))
-        opt = plan_optimization(program, hoist=False, elide=False)
+        opt = plan_optimization(program, elide=False)
         producer = next(
             n for n in program.nodes if n.tensor.name.startswith("relu")
         )
@@ -250,7 +227,7 @@ class TestFusion:
                 assert g.terminal is producer
 
 
-# ---- pass 3: in-place arena elision ------------------------------------------
+# ---- pass 2: in-place arena elision ------------------------------------------
 
 
 def elidable_program():
@@ -266,9 +243,8 @@ def elidable_program():
 class TestElision:
     def test_elision_shrinks_workspace(self):
         program = elidable_program()
-        with_elide = plan_optimization(program, hoist=False, fuse=False)
-        without = plan_optimization(program, hoist=False, fuse=False,
-                                    elide=False)
+        with_elide = plan_optimization(program, fuse=False)
+        without = plan_optimization(program, fuse=False, elide=False)
         assert with_elide.stats.elided_buffers > 0
         assert with_elide.inplace_pairs
         assert (with_elide.memory_plan.workspace_bytes
@@ -382,7 +358,7 @@ class TestStats:
         assert stats.steps_before == len(program.nodes)
         assert stats.steps_after == len(plan.steps)
         assert stats.steps_after == (
-            stats.steps_before - stats.hoisted_steps - stats.fused_steps
+            stats.steps_before - stats.fused_steps
         )
         assert stats.wave_count == stats.steps_after
         assert stats.workspace_after == plan.memory_plan.workspace_bytes

@@ -4,57 +4,15 @@ generated programs (hypothesis drives the program generator)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.graph import GraphBuilder, lower_graph
+from repro.graph import lower_graph
 from repro.transform import (
     check_equivalent,
     horizontal_transform,
     vertical_transform,
 )
 
-UNARY_OPS = ("relu", "sigmoid", "tanh", "exp")
-MEMORY_OPS = ("transpose", "reshape", "slice")
-
-
-@st.composite
-def random_graphs(draw):
-    """A random DAG of elementwise / memory / matmul / reduce operators over
-    small 2-D tensors."""
-    builder = GraphBuilder("prop")
-    rows = draw(st.sampled_from([2, 3, 4]))
-    cols = draw(st.sampled_from([4, 6, 8]))
-    frontier = [builder.input((rows, cols), name="x0")]
-    num_ops = draw(st.integers(2, 8))
-    for index in range(num_ops):
-        source = frontier[draw(st.integers(0, len(frontier) - 1))]
-        choice = draw(st.integers(0, 5))
-        if choice <= 1:
-            op = draw(st.sampled_from(UNARY_OPS))
-            node = getattr(builder, op)(source)
-        elif choice == 2:
-            node = builder.transpose(
-                source, tuple(reversed(range(len(source.shape))))
-            )
-        elif choice == 3:
-            total = 1
-            for extent in source.shape:
-                total *= extent
-            node = builder.reshape(source, (total,))
-        elif choice == 4 and len(source.shape) == 2:
-            k = source.shape[1]
-            w = builder.weight((k, draw(st.sampled_from([4, 6]))),
-                               name=f"w{index}")
-            node = builder.matmul(source, w)
-        else:
-            axes = (len(source.shape) - 1,)
-            node = builder.reduce_sum(source, axes, keepdims=True)
-        frontier.append(node)
-    # Sum everything reachable into one scalar-ish output to keep arity 1.
-    outputs = [frontier[-1]]
-    if draw(st.booleans()) and len(frontier) > 2:
-        outputs.append(frontier[-2])
-    return builder.build(outputs)
+from tests.strategies import random_graphs
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,8 +1,9 @@
 """Tests for sharded multi-process serving over shared-memory weights.
 
 The contract under test, bottom to top: ``WeightStore`` packs every
-session-bound weight plus the hoisted prologue into one shared-memory
-segment that execution plans bind zero-copy; ``PlanState`` makes one
+session-bound weight into one shared-memory segment that execution plans
+bind zero-copy, and restores a persisted blob only when it holds exactly
+the given weights; ``PlanState`` makes one
 immutable plan + weight table shareable across sessions while each
 ``InferenceSession`` keeps its own arena pool; ``ShardedServer`` fans
 requests out to K worker processes with outputs bit-identical to a serial
@@ -14,10 +15,12 @@ Worker processes are spawned, so this module must run from a real file
 (pytest does); it cannot be exercised from a stdin/heredoc script.
 """
 
+import glob
 import os
 import signal
 import threading
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -49,13 +52,13 @@ def mlp_graph():
     )
 
 
-def hoist_graph():
-    """A graph with a weight-only subexpression the optimizer hoists."""
-    b = GraphBuilder("hoisty")
+def weight_only_graph():
+    """A graph with a subexpression that reads only a weight."""
+    b = GraphBuilder("wonly")
     x = b.input((4, 8), name="x")
     w1 = b.weight((8, 16), name="w1")
     w2 = b.weight((16, 4), name="w2")
-    gate = b.relu(w1)  # weight-only: runs once per weight-set
+    gate = b.relu(w1)  # weight-only: an ordinary step on every request
     return b.build([b.matmul(b.relu(b.matmul(x, gate)), w2)])
 
 
@@ -148,57 +151,124 @@ class TestWeightStore:
             store.close()
             store.unlink()
 
-    def test_disk_roundtrip_skips_rehoist(self, tmp_path):
-        graph = hoist_graph()
+    def test_disk_roundtrip_is_byte_identical(self, tmp_path):
+        graph = weight_only_graph()
         program = lower_graph(graph)
         base, weights = split_feeds(program)
         state = PlanState(program)
-        assert state.plan.optimization.hoist_boundary, (
-            "test graph must have a hoisted prologue"
-        )
         cold = WeightStore.create(program, state.plan, weights,
                                   cache_dir=str(tmp_path))
         try:
             assert not cold.loaded_from_disk
-            assert cold.hoisted_by_name()
+            cold_bytes = bytes(cold._shm.buf[:cold.total_bytes])
         finally:
             cold.close()
             cold.unlink()
 
-        # Second create with the same key mmaps the packed blob: no
-        # recompute of the hoisted prologue, bytes identical.
+        # Second create with the same key restores the packed blob.
         program2 = lower_graph(graph)
         state2 = PlanState(program2)
         warm = WeightStore.create(program2, state2.plan, weights,
                                   cache_dir=str(tmp_path))
         try:
             assert warm.loaded_from_disk
-            state2.bind_weights(
-                warm.weights_by_name(),
-                hoisted_by_name=warm.hoisted_by_name(),
-            )
-            # The hoisted values were installed, never evaluated.
-            assert state2.plan.hoist_evaluations == 0
+            assert bytes(warm._shm.buf[:warm.total_bytes]) == cold_bytes
+            state2.bind_weights(warm.weights_by_name())
             session = InferenceSession.from_plan_state(state2)
             requests = request_stream(program2, 3)
             got = [session.run_by_name(r) for r in requests]
             want = serial_reference(program, base, requests)
             assert_bit_identical(got, want)
-            assert state2.plan.hoist_evaluations == 0
         finally:
             warm.close()
             warm.unlink()
 
     def test_key_tracks_weight_bytes(self):
         program = lower_graph(mlp_graph())
-        plan = ExecutionPlan(program, config=PLAIN)
-        boundary = plan.hoist_boundary
         _, weights = split_feeds(program)
-        key = weight_store_key(program, weights, boundary)
-        assert key == weight_store_key(program, weights, boundary)
+        key = weight_store_key(program, weights)
+        assert key == weight_store_key(program, weights)
         mutated = dict(weights)
         mutated["w1"] = weights["w1"] + 1.0
-        assert key != weight_store_key(program, mutated, boundary)
+        assert key != weight_store_key(program, mutated)
+
+
+def blob_path(cache_dir):
+    (path,) = glob.glob(os.path.join(cache_dir, "weights", "*.bin"))
+    return path
+
+
+def create_checked(program, plan, weights, cache_dir):
+    """``WeightStore.create`` that must serve exactly ``weights``."""
+    store = WeightStore.create(program, plan, weights, cache_dir=cache_dir)
+    views = store.weights_by_name()
+    assert sorted(views) == sorted(weights)
+    for name, value in weights.items():
+        same = views[name].tobytes() == value.tobytes()
+        assert same, f"weight {name} differs from the one passed in"
+    del views
+    return store
+
+
+class TestWeightBlobIntegrity:
+    """A persisted blob serves only when it holds the weights it is keyed
+    under; anything else is a miss that rebuilds and overwrites it."""
+
+    def test_flipped_byte_is_a_miss(self, tmp_path):
+        program = lower_graph(mlp_graph())
+        plan = ExecutionPlan(program)
+        _, weights = split_feeds(program)
+        cache = str(tmp_path)
+        create_checked(program, plan, weights, cache).unlink()
+        path = blob_path(cache)
+        with open(path, "r+b") as f:
+            f.seek(3)
+            byte = f.read(1)
+            f.seek(3)
+            f.write(bytes([byte[0] ^ 0xFF]))
+
+        store = create_checked(program, plan, weights, cache)
+        assert not store.loaded_from_disk
+        store.unlink()
+        # The bad blob was overwritten: the next create restores it.
+        store = create_checked(program, plan, weights, cache)
+        assert store.loaded_from_disk
+        store.unlink()
+
+    def test_truncated_blob_is_a_miss_and_frees_its_segment(
+        self, tmp_path, monkeypatch
+    ):
+        program = lower_graph(mlp_graph())
+        plan = ExecutionPlan(program)
+        _, weights = split_feeds(program)
+        cache = str(tmp_path)
+        create_checked(program, plan, weights, cache).unlink()
+        path = blob_path(cache)
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) // 2)
+
+        created = []
+        real = shared_memory.SharedMemory
+
+        def recording(*args, **kwargs):
+            shm = real(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(shm.name)
+            return shm
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", recording)
+        store = create_checked(program, plan, weights, cache)
+        monkeypatch.undo()
+        try:
+            assert not store.loaded_from_disk
+            for name in created:
+                if name == store.manifest.shm_name:
+                    continue
+                with pytest.raises(FileNotFoundError):
+                    real(name=name)
+        finally:
+            store.unlink()
+        assert os.path.getsize(path) == store.total_bytes
 
 
 class TestPlanState:
@@ -235,21 +305,6 @@ class TestPlanState:
         assert not all(
             np.array_equal(g, w) for g, w in zip(changed, default)
         )
-
-    def test_content_hash_rebind_reuses_hoist(self):
-        """A respawned worker re-binding byte-equal weights from a fresh
-        mapping must hit the content-hash fallback, not re-hoist."""
-        program = lower_graph(hoist_graph())
-        _, weights = split_feeds(program)
-        state = PlanState(program)
-        state.bind_weights(weights)
-        assert state.plan.hoist_evaluations == 1
-        # Same bytes, different array objects — the identity-keyed FIFO
-        # misses, the content digest hits.
-        copies = {k: np.array(v) for k, v in weights.items()}
-        state.bind_weights(copies)
-        assert state.plan.hoist_evaluations == 1
-        assert state.plan.hoist_content_hits >= 1
 
 
 class TestArenaAccounting:

@@ -4,52 +4,12 @@ vertical transformation (hypothesis drives the same program generator shape
 as the semantics properties)."""
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.graph import GraphBuilder, lower_graph
+from repro.graph import lower_graph
 from repro.transform import horizontal_transform, vertical_transform
 from repro.verify import verify_program
 
-UNARY_OPS = ("relu", "sigmoid", "tanh", "exp")
-
-
-@st.composite
-def random_graphs(draw):
-    """A random DAG of elementwise / memory / matmul / reduce operators over
-    small 2-D tensors."""
-    builder = GraphBuilder("verifyprop")
-    rows = draw(st.sampled_from([2, 3, 4]))
-    cols = draw(st.sampled_from([4, 6, 8]))
-    frontier = [builder.input((rows, cols), name="x0")]
-    num_ops = draw(st.integers(2, 8))
-    for index in range(num_ops):
-        source = frontier[draw(st.integers(0, len(frontier) - 1))]
-        choice = draw(st.integers(0, 5))
-        if choice <= 1:
-            op = draw(st.sampled_from(UNARY_OPS))
-            node = getattr(builder, op)(source)
-        elif choice == 2:
-            node = builder.transpose(
-                source, tuple(reversed(range(len(source.shape))))
-            )
-        elif choice == 3:
-            total = 1
-            for extent in source.shape:
-                total *= extent
-            node = builder.reshape(source, (total,))
-        elif choice == 4 and len(source.shape) == 2:
-            k = source.shape[1]
-            w = builder.weight((k, draw(st.sampled_from([4, 6]))),
-                               name=f"w{index}")
-            node = builder.matmul(source, w)
-        else:
-            axes = (len(source.shape) - 1,)
-            node = builder.reduce_sum(source, axes, keepdims=True)
-        frontier.append(node)
-    outputs = [frontier[-1]]
-    if draw(st.booleans()) and len(frontier) > 2:
-        outputs.append(frontier[-2])
-    return builder.build(outputs)
+from tests.strategies import random_graphs
 
 
 def assert_clean(program, stage):
@@ -58,7 +18,7 @@ def assert_clean(program, stage):
 
 
 @settings(max_examples=25, deadline=None)
-@given(random_graphs())
+@given(random_graphs(name="verifyprop"))
 def test_horizontal_never_introduces_errors(graph):
     program = lower_graph(graph)
     assert_clean(program, "lowering")
@@ -67,7 +27,7 @@ def test_horizontal_never_introduces_errors(graph):
 
 
 @settings(max_examples=25, deadline=None)
-@given(random_graphs())
+@given(random_graphs(name="verifyprop"))
 def test_vertical_never_introduces_errors(graph):
     program = lower_graph(graph)
     assert_clean(program, "lowering")
@@ -76,7 +36,7 @@ def test_vertical_never_introduces_errors(graph):
 
 
 @settings(max_examples=15, deadline=None)
-@given(random_graphs())
+@given(random_graphs(name="verifyprop"))
 def test_composed_transforms_never_introduce_errors(graph):
     program = lower_graph(graph)
     h, _ = horizontal_transform(program)
